@@ -452,7 +452,7 @@ def _cmd_solve(args) -> int:
                 result.nodes_explored,
             )
         elif solver == "bnb":
-            opts = SolveOptions(time_budget=args.time_limit, workers=args.workers)
+            opts = SolveOptions(time_budget=args.time_limit)
             result = solve_bnb(inst, opts)
             value, groups, proven, nodes = (
                 result.value,
@@ -606,8 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seed, required for --solver heuristic")
     p_solve.add_argument("--time-limit", type=float, default=None,
                          help="wall-clock budget in seconds for bnb")
-    p_solve.add_argument("--workers", type=int, default=1,
-                         help="worker count for bnb subtree tasks")
     p_solve.add_argument("--json", action="store_true", help="machine-readable report")
     p_solve.add_argument("--export-lp", metavar="PATH", default=None,
                          help="write the ILP in LP format (without --solver: export only)")

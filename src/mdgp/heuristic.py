@@ -42,7 +42,7 @@ def greedy_construct(instance: Instance, seed: int) -> Grouping:
 
     for idx, e in enumerate(rest):
         left_after = len(rest) - idx - 1
-        best_g, best_inc = -1, -1.0
+        best_g, best_inc = -1, float("-inf")
         for g, members in enumerate(groups):
             if len(members) >= b:
                 continue

@@ -2,23 +2,21 @@
 
 The oracle (:func:`solve_bruteforce`) enumerates every feasible partition via
 restricted-growth strings and is the ground truth the rest of the package is
-benchmarked against. :func:`solve_bnb` assigns elements in index order with
-symmetry breaking (a new group always takes the lowest unused label), prunes
-on capacity and on an admissible completion bound, and returns a proven
-optimum unless a node/time budget runs out first.
+benchmarked against. :func:`solve_bnb` is one depth-first search from the
+root: it assigns elements in index order with symmetry breaking (a new group
+always takes the lowest unused label), prunes on capacity and on an
+admissible completion bound against a single incumbent seeded by the
+heuristic, and returns a proven optimum unless a node/time budget runs out
+first.
 
-Worker counts never change the reported value or grouping: the tree is split
-into a fixed, instance-determined list of subtree tasks, each searched with
-its own incumbent, and the task results are reduced by (value, then
-lexicographically smallest canonical grouping). Node budgets force the tasks
-to run sequentially so exhaustion is deterministic too.
+The search is deterministic: for a given instance and node budget it always
+visits the same nodes and returns the same value and grouping. Among tied
+optima it keeps the first one found (the seed, if the seed is optimal).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,27 +26,23 @@ from .heuristic import multistart
 
 DEFAULT_ENUMERATION_CAP = 12
 
-# fixed decomposition/seeding constants; results must not depend on workers
-_TASK_TARGET = 16
+# the heuristic call that seeds the incumbent
 _SEED_RESTARTS = 8
 _SEED_SEED = 0
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Budgets and parallelism for :func:`solve_bnb`."""
+    """Node and wall-clock budgets for :func:`solve_bnb`."""
 
     node_budget: int | None = None
     time_budget: float | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node_budget must be positive")
         if self.time_budget is not None and self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -204,18 +198,6 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     )
 
 
-def _prefix_value(instance: Instance, labels0: list[int]) -> float:
-    # labels0: 0-based group ids for the assigned prefix; summation uses the
-    # same fixed pair order (and numpy reduction) as objective_value
-    n = instance.n
-    lab = np.full(n, -1, dtype=np.int64)
-    for e, g in enumerate(labels0):
-        lab[e] = g
-    iu, ju = np.triu_indices(n, k=1)
-    same = (lab[iu] >= 0) & (lab[iu] == lab[ju])
-    return float(instance.dist.condensed()[same].sum())
-
-
 def _completion_bound(d, labels0, sizes, b, n) -> float:
     """Optimistic value of everything not yet decided.
 
@@ -223,7 +205,8 @@ def _completion_bound(d, labels0, sizes, b, n) -> float:
     contribution is bounded by its b-1 largest candidate distances: full
     weight toward elements already sitting in a group with spare capacity,
     half weight toward other unassigned elements (each such pair shows up in
-    two lists).
+    two lists). An element may end up with fewer than b-1 partners, so ``d``
+    must be the distances clamped at zero for the bound to stay admissible.
     """
     t = len(labels0)
     if t >= n or b <= 1:
@@ -240,85 +223,73 @@ def _completion_bound(d, labels0, sizes, b, n) -> float:
     return bound
 
 
+def _clamped(instance: Instance) -> list[list[float]]:
+    return np.maximum(instance.dist.as_square(), 0.0).tolist()
+
+
 def upper_bound(state: SearchState) -> float:
     """Admissible completion bound: never less than the best feasible
     completion value minus the value already accumulated."""
     inst = state.instance
-    d = inst.dist.as_square().tolist()
     labels0 = [lab - 1 for lab in state.labels]
-    sizes = state.group_sizes()
-    return _completion_bound(d, labels0, sizes, inst.b, inst.n)
+    return _completion_bound(_clamped(inst), labels0, state.group_sizes(), inst.b, inst.n)
 
 
 def partial_value(state: SearchState) -> float:
-    """Objective accumulated by the assigned prefix of a search state."""
-    return _prefix_value(state.instance, [lab - 1 for lab in state.labels])
+    """Objective accumulated by the assigned prefix of a search state.
+
+    Summation uses the same fixed pair order (and numpy reduction) as
+    :func:`objective_value`.
+    """
+    n = state.instance.n
+    lab = np.full(n, -1, dtype=np.int64)
+    lab[: state.n_assigned] = state.labels
+    iu, ju = np.triu_indices(n, k=1)
+    same = (lab[iu] >= 0) & (lab[iu] == lab[ju])
+    return float(state.instance.dist.condensed()[same].sum())
 
 
-class _Budget:
-    """Shared node/time limits; `spend` returns False once exhausted."""
+def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalResult:
+    """Branch-and-bound exact search; proven optimum unless a budget runs out."""
+    opts = opts or SolveOptions()
+    t0 = time.perf_counter()
+    n, G, a, b = instance.n, instance.G, instance.a, instance.b
 
-    def __init__(self, node_budget, time_budget):
-        self.node_budget = node_budget
-        self.deadline = (
-            time.monotonic() + time_budget if time_budget is not None else None
-        )
-        self.spent = 0
-        self.exhausted = False
+    seed = multistart(instance, restarts=_SEED_RESTARTS, seed=_SEED_SEED)
+    best_value = seed.value
+    best_grouping = canonicalize(seed.grouping)
 
-    def spend(self) -> bool:
-        if self.exhausted:
-            return False
-        if self.node_budget is not None and self.spent >= self.node_budget:
-            self.exhausted = True
-            return False
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            self.exhausted = True
-            return False
-        self.spent += 1
-        return True
+    d = instance.dist.as_square().tolist()
+    d_bound = _clamped(instance)
+    node_budget = opts.node_budget
+    deadline = None if opts.time_budget is None else time.monotonic() + opts.time_budget
+    nodes = 0
+    exhausted = False
+    labels0: list[int] = []
+    sizes: list[int] = []
 
-
-class _TaskSearch:
-    """Depth-first search of one subtree with a task-local incumbent."""
-
-    def __init__(self, instance, d, seed_value, seed_grouping, budget):
-        self.inst = instance
-        self.d = d
-        self.best_value = seed_value
-        self.best_grouping = seed_grouping
-        self.budget = budget
-        self.nodes = 0
-        self.exhausted = False
-
-    def run(self, labels0, sizes):
-        self._dfs(list(labels0), list(sizes), _prefix_value(self.inst, labels0))
-
-    def _grouping_from(self, labels0) -> Grouping:
-        groups: list[list[int]] = [[] for _ in range(max(labels0) + 1)]
-        for e, g in enumerate(labels0):
-            groups[g].append(e + 1)
-        return Grouping(groups)
-
-    def _dfs(self, labels0, sizes, cur):
-        if self.budget is not None and not self.budget.spend():
-            self.exhausted = True
+    def dfs(cur: float):
+        nonlocal best_value, best_grouping, nodes, exhausted
+        if (node_budget is not None and nodes >= node_budget) or (
+            deadline is not None and time.monotonic() >= deadline
+        ):
+            exhausted = True
             return
-        self.nodes += 1
-        inst = self.inst
-        n, G, a, b = inst.n, inst.G, inst.a, inst.b
+        nodes += 1
         t = len(labels0)
         if t == n:
-            grouping = self._grouping_from(labels0)
-            value = objective_value(grouping, inst.dist)
-            if value > self.best_value:
-                self.best_value = value
-                self.best_grouping = grouping
+            groups: list[list[int]] = [[] for _ in sizes]
+            for e, g in enumerate(labels0):
+                groups[g].append(e + 1)
+            grouping = Grouping(groups)
+            value = objective_value(grouping, instance.dist)
+            if value > best_value:
+                best_value, best_grouping = value, grouping
             return
 
         remaining = n - t - 1
         k = len(sizes)
-        du = self.d[t]
+        du = d[t]
         candidates: list[tuple[float, int]] = []
         for g in range(k):
             if sizes[g] >= b:
@@ -336,95 +307,19 @@ class _TaskSearch:
             else:
                 sizes[g] += 1
             labels0.append(g)
-            opened = k + 1 if opens else k
-            if _completable(sizes, opened, G, a, b, remaining):
+            if _completable(sizes, k + 1 if opens else k, G, a, b, remaining):
                 child = cur + inc
-                bound = _completion_bound(self.d, labels0, sizes, b, n)
-                if child + bound > self.best_value:
-                    self._dfs(labels0, sizes, child)
+                if child + _completion_bound(d_bound, labels0, sizes, b, n) > best_value:
+                    dfs(child)
             labels0.pop()
             if opens:
                 sizes.pop()
             else:
                 sizes[g] -= 1
-            if self.exhausted:
+            if exhausted:
                 return
 
-
-def _expand_tasks(instance: Instance, target: int = _TASK_TARGET):
-    """Deterministic breadth-first split of the root into subtree prefixes.
-
-    Depends only on the instance (never on incumbents or worker count), so
-    the task list is identical for every run.
-    """
-    n, G, a, b = instance.n, instance.G, instance.a, instance.b
-    frontier: deque[tuple[tuple[int, ...], tuple[int, ...]]] = deque([((), ())])
-    done: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    expanded = 0
-    while frontier and len(frontier) + len(done) < target:
-        labels0, sizes = frontier.popleft()
-        t = len(labels0)
-        if t == n:
-            done.append((labels0, sizes))
-            continue
-        expanded += 1
-        remaining = n - t - 1
-        k = len(sizes)
-        for g in range(k + 1 if k < G else k):
-            opens = g == k
-            if not opens and sizes[g] >= b:
-                continue
-            new_sizes = sizes + (1,) if opens else sizes[:g] + (sizes[g] + 1,) + sizes[g + 1:]
-            if _completable(new_sizes, k + 1 if opens else k, G, a, b, remaining):
-                frontier.append((labels0 + (g,), new_sizes))
-    return done + list(frontier), expanded
-
-
-def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalResult:
-    """Branch-and-bound exact search; proven optimum unless a budget runs out."""
-    opts = opts or SolveOptions()
-    t0 = time.perf_counter()
-
-    seed = multistart(instance, restarts=_SEED_RESTARTS, seed=_SEED_SEED)
-    seed_grouping = canonicalize(seed.grouping)
-    seed_value = seed.value
-
-    d = instance.dist.as_square().tolist()
-    tasks, expanded = _expand_tasks(instance)
-
-    budget = None
-    if opts.node_budget is not None or opts.time_budget is not None:
-        budget = _Budget(opts.node_budget, opts.time_budget)
-
-    searches = [
-        _TaskSearch(instance, d, seed_value, seed_grouping, budget) for _ in tasks
-    ]
-
-    def run_one(idx: int):
-        labels0, sizes = tasks[idx]
-        searches[idx].run(list(labels0), list(sizes))
-
-    if opts.workers == 1 or budget is not None or len(tasks) <= 1:
-        # budgets serialize execution so exhaustion is deterministic
-        for idx in range(len(tasks)):
-            run_one(idx)
-            if budget is not None and budget.exhausted:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            list(pool.map(run_one, range(len(tasks))))
-
-    best_value = seed_value
-    best_grouping = seed_grouping
-    for s in searches:
-        g = canonicalize(s.best_grouping)
-        if s.best_value > best_value or (
-            s.best_value == best_value and g.groups < best_grouping.groups
-        ):
-            best_value, best_grouping = s.best_value, g
-
-    exhausted = any(s.exhausted for s in searches)
-    nodes = expanded + sum(s.nodes for s in searches)
+    dfs(0.0)
     return OptimalResult(
         value=best_value,
         grouping=best_grouping,

@@ -7,10 +7,10 @@ from mdgp.cli import worked_example_instance
 TOL = 1e-9
 
 
-def random_instance(seed: int, n: int, G: int, a: int, b: int) -> Instance:
-    """Seeded instance with uniform distances in [0, 100)."""
+def random_instance(seed: int, n: int, G: int, a: int, b: int, low: float = 0.0) -> Instance:
+    """Seeded instance with uniform distances in [low, 100)."""
     rng = np.random.default_rng(seed)
-    cond = rng.uniform(0.0, 100.0, size=n * (n - 1) // 2)
+    cond = rng.uniform(low, 100.0, size=n * (n - 1) // 2)
     return Instance(DistanceMatrix(n, cond), G, a, b)
 
 

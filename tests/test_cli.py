@@ -331,17 +331,17 @@ def test_cmd_solve_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cmd_solve_workers_flag(worked_file, capsys):
-    reports = []
-    for w in ("1", "2"):
-        code, report = _solve_json(
-            capsys, "solve", "--input", str(worked_file), "--workers", w, "--json"
-        )
-        assert code == 0
-        reports.append(report)
-    assert reports[0]["value"] == reports[1]["value"]
-    assert reports[0]["groups"] == reports[1]["groups"]
-    assert reports[0]["nodes"] == reports[1]["nodes"]
+def test_cmd_solve_all_negative_distances(tmp_path, capsys):
+    path = tmp_path / "negative.txt"
+    path.write_text("4 2 2 2\nDIST\n-5 -5 -5\n-5 -5\n-5\n")
+    code = main(["solve", "--input", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "warning" in captured.err
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["value"] == -10.0
+    assert report["proven"] is True
 
 
 def test_cmd_solve_schema_error_on_categorical_manhattan(tmp_path, capsys):
@@ -359,6 +359,3 @@ def test_cmd_solve_bad_numeric_flags(worked_file, capsys):
     )
     assert code == 2
     assert "restarts" in capsys.readouterr().err
-    code = main(["solve", "--input", str(worked_file), "--workers", "0"])
-    assert code == 2
-    assert "workers" in capsys.readouterr().err

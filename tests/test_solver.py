@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdgp import (
+    DistanceMatrix,
     Grouping,
+    Instance,
     SearchState,
     SolveOptions,
     build_unequal,
@@ -163,18 +167,45 @@ def test_bnb_node_budget_semantics():
     assert not limited.proven
     assert limited.value <= solve_bruteforce(inst).value + TOL
     assert validate_grouping(limited.grouping, inst).feasible
+    # a node budget makes the cut-off point, and so the answer, deterministic
+    runs = [solve_bnb(inst, SolveOptions(node_budget=40)) for _ in range(2)]
+    assert not runs[0].proven
+    assert runs[0].value == runs[1].value
+    assert runs[0].grouping.groups == runs[1].grouping.groups
+    assert runs[0].nodes_explored == runs[1].nodes_explored == 40
 
 
-def test_bnb_deterministic_across_worker_counts():
-    for seed, n, G, a, b in seeded_cases(6, n_range=(7, 9)):
-        inst = random_instance(seed, n, G, a, b)
-        results = [solve_bnb(inst, SolveOptions(workers=w)) for w in (1, 2, 4)]
-        values = {r.value for r in results}
-        groupings = {r.grouping.groups for r in results}
-        nodes = {r.nodes_explored for r in results}
-        assert len(values) == 1
-        assert len(groupings) == 1
-        assert len(nodes) == 1
+def test_bnb_signed_distances_regression():
+    # negative entries made the completion bound inadmissible: B&B pruned the
+    # optimum (312.7213) and reported 311.1236 as proven
+    rng = np.random.default_rng(88)
+    inst = Instance(DistanceMatrix(8, rng.uniform(-100, 100, 28)), 3, 1, 6)
+    exact = solve_bruteforce(inst)
+    bnb = solve_bnb(inst)
+    assert bnb.proven
+    assert bnb.value == pytest.approx(exact.value, abs=TOL)
+    assert bnb.value == pytest.approx(312.7213, abs=1e-4)
+
+
+@st.composite
+def _signed_instances(draw):
+    n = draw(st.integers(2, 8))
+    G = draw(st.integers(1, n))
+    a = draw(st.integers(1, n // G))
+    b = draw(st.integers(-(-n // G), n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_instance(seed, n, G, a, b, low=-100.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_signed_instances())
+def test_bnb_matches_oracle_on_signed_distances(inst):
+    exact = solve_bruteforce(inst)
+    bnb = solve_bnb(inst)
+    assert bnb.proven
+    assert bnb.value == pytest.approx(exact.value, abs=TOL)
+    assert validate_grouping(bnb.grouping, inst).feasible
+    assert objective_value(bnb.grouping, inst.dist) == bnb.value
 
 
 def test_bnb_result_satisfies_full_model():
@@ -191,5 +222,3 @@ def test_solve_options_validation():
         SolveOptions(node_budget=0)
     with pytest.raises(ValueError):
         SolveOptions(time_budget=-1.0)
-    with pytest.raises(ValueError):
-        SolveOptions(workers=0)
