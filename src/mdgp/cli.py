@@ -403,7 +403,11 @@ def _cmd_solve(args) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        Path(args.export_lp).write_text(export_lp(model))
+        try:
+            Path(args.export_lp).write_text(export_lp(model))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if not explicit_solver:
             if args.json:
                 print(
@@ -580,7 +584,11 @@ def _cmd_gen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

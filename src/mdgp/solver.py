@@ -9,6 +9,17 @@ admissible completion bound against a single incumbent seeded by the
 heuristic, and returns a proven optimum unless a node/time budget runs out
 first.
 
+The completion bound is a single-group bound. Every unassigned element ends
+up in exactly one group, where it gains its exact distance sum to the
+group's assigned members plus half its distances to the unassigned elements
+that join it; their number lies between ``a-1-s`` and ``b-1-s`` for a group
+with ``s`` assigned members. The unassigned elements are always a suffix
+``t..n-1`` of the index order, so the second part depends only on
+``(t, u, s)`` and comes from a table built once per solve
+(:func:`_suffix_table`). The first part is kept per element and group and
+updated as elements join and leave groups, so a node costs
+``O((n - t) * G)`` without a sort. The bound holds for signed distances.
+
 The search is deterministic: for a given instance and node budget it always
 visits the same nodes and returns the same value and grouping. Among tied
 optima it keeps the first one found (the seed, if the seed is optimal).
@@ -16,8 +27,10 @@ optima it keeps the first one found (the seed, if the seed is optimal).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -41,7 +54,8 @@ class SolveOptions:
     def __post_init__(self):
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node_budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        # written so that NaN, which compares false with everything, fails too
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive")
 
 
@@ -198,41 +212,71 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     )
 
 
-def _completion_bound(d, labels0, sizes, b, n) -> float:
-    """Optimistic value of everything not yet decided.
+def _suffix_table(d, t: int, a: int, b: int) -> list[list[float]]:
+    """``Q[s][i]``: the most that element ``u = t + i`` can gain from the
+    unassigned elements ``t..n-1`` that end up in its group, when it joins a
+    group holding ``s`` assigned members, for ``s = 0..b-1``.
 
-    Every unassigned element can join at most b-1 same-group pairs, so its
-    contribution is bounded by its b-1 largest candidate distances: full
-    weight toward elements already sitting in a group with spare capacity,
-    half weight toward other unassigned elements (each such pair shows up in
-    two lists). An element may end up with fewer than b-1 partners, so ``d``
-    must be the distances clamped at zero for the bound to stay admissible.
+    Each such pair counts at half weight (it is shared by both elements).
+    ``u`` ends up with between ``a-1-s`` and ``b-1-s`` unassigned partners,
+    so the value is the sum of its ``a-1-s`` largest half-distances into the
+    suffix plus the positive ones among the next ``b-a``.
     """
-    t = len(labels0)
-    if t >= n or b <= 1:
-        return 0.0
-    partners = [e for e in range(t) if sizes[labels0[e]] < b]
-    bound = 0.0
-    top = b - 1
+    n = len(d)
+    table: list[list[float]] = [[] for _ in range(b)]
     for u in range(t, n):
         du = d[u]
-        vals = [du[v] for v in partners]
-        vals.extend(du[w] * 0.5 for w in range(t, n) if w != u)
-        vals.sort(reverse=True)
-        bound += sum(vals[:top])
-    return bound
+        vals = sorted((0.5 * du[w] for w in range(t, n) if w != u), reverse=True)
+        for s in range(b):
+            lo = a - 1 - s
+            q = 0.0
+            for j, v in enumerate(vals[: b - 1 - s]):
+                if j >= lo and v <= 0.0:
+                    break
+                q += v
+            table[s].append(q)
+    return table
 
 
-def _clamped(instance: Instance) -> list[list[float]]:
-    return np.maximum(instance.dist.as_square(), 0.0).tolist()
+def _completion_bound(A, Qt, sizes, t: int, G: int, b: int) -> float:
+    """Admissible bound on the value the unassigned suffix ``t..n-1`` adds.
+
+    ``A[g][u]`` is the signed sum of distances from ``u`` to the members
+    already in open group ``g``; ``Qt`` is ``_suffix_table(d, t, a, b)``.
+    The completion value splits over the unassigned elements as
+    ``sum_u A[g(u)][u] + 1/2 sum_{w unassigned, g(w) = g(u)} d[u][w]``,
+    because every pair of unassigned elements appears in both of their
+    terms. Each ``u`` joins exactly one group ``g``: an open group with room
+    (``s_g < b`` members), where it has between ``a-1-s_g`` and ``b-1-s_g``
+    unassigned partners, or, while fewer than ``G`` groups are open, a new
+    group. Its term is therefore at most the best of ``A[g][u] + Qt[s_g][u]``
+    over those open groups and ``Qt[0][u]`` for a new group. Returns
+    ``-inf`` only when some element has no group left to join, that is when
+    no completion exists.
+    """
+    terms = [map(add, A[g][t:], Qt[s]) for g, s in enumerate(sizes) if s < b]
+    if len(sizes) < G:
+        terms.append(Qt[0])
+    if len(terms) > 1:
+        return sum(map(max, *terms))
+    if terms:
+        return sum(terms[0])
+    return -math.inf if Qt[0] else 0.0  # Qt[0] is empty once t == n
 
 
 def upper_bound(state: SearchState) -> float:
     """Admissible completion bound: never less than the best feasible
     completion value minus the value already accumulated."""
     inst = state.instance
-    labels0 = [lab - 1 for lab in state.labels]
-    return _completion_bound(_clamped(inst), labels0, state.group_sizes(), inst.b, inst.n)
+    n, t = inst.n, state.n_assigned
+    d = inst.dist.as_square().tolist()
+    A = [[0.0] * n for _ in range(inst.G)]
+    for v, lab in enumerate(state.labels):
+        col, dv = A[lab - 1], d[v]
+        for u in range(t, n):
+            col[u] += dv[u]
+    Qt = _suffix_table(d, t, inst.a, inst.b)
+    return _completion_bound(A, Qt, state.group_sizes(), t, inst.G, inst.b)
 
 
 def partial_value(state: SearchState) -> float:
@@ -260,7 +304,13 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     best_grouping = canonicalize(seed.grouping)
 
     d = instance.dist.as_square().tolist()
-    d_bound = _clamped(instance)
+    tails = [d[t][t + 1 :] for t in range(n)]
+    Q = [_suffix_table(d, t, a, b) for t in range(n + 1)]
+    # A[g][u]: distance sum from u to the members of group g, exact for every
+    # unassigned u; unopened groups stay all zero. Backtracking restores a
+    # saved slice instead of subtracting, so the sums never drift and A[g][t]
+    # is exactly the value element t adds by joining group g.
+    A = [[0.0] * n for _ in range(G)]
     node_budget = opts.node_budget
     deadline = None if opts.time_budget is None else time.monotonic() + opts.time_budget
     nodes = 0
@@ -268,7 +318,9 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     labels0: list[int] = []
     sizes: list[int] = []
 
-    def dfs(cur: float):
+    def dfs(cur: float, deficit: int):
+        # deficit: elements still needed to lift every group to size a; the
+        # matching capacity check is implied by G*b >= n and sizes <= b
         nonlocal best_value, best_grouping, nodes, exhausted
         if (node_budget is not None and nodes >= node_budget) or (
             deadline is not None and time.monotonic() >= deadline
@@ -289,28 +341,29 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
 
         remaining = n - t - 1
         k = len(sizes)
-        du = d[t]
-        candidates: list[tuple[float, int]] = []
-        for g in range(k):
-            if sizes[g] >= b:
-                continue
-            inc = sum(du[e] for e in range(t) if labels0[e] == g)
-            candidates.append((inc, g))
+        candidates = [(A[g][t], g) for g in range(k) if sizes[g] < b]
         if k < G:
             candidates.append((0.0, k))
         candidates.sort(key=lambda c: (-c[0], c[1]))
 
+        tail, Qt = tails[t], Q[t + 1]
         for inc, g in candidates:
             opens = g == k
+            child_deficit = deficit - 1 if opens or sizes[g] < a else deficit
+            if child_deficit > remaining:
+                continue
             if opens:
                 sizes.append(1)
             else:
                 sizes[g] += 1
             labels0.append(g)
-            if _completable(sizes, k + 1 if opens else k, G, a, b, remaining):
-                child = cur + inc
-                if child + _completion_bound(d_bound, labels0, sizes, b, n) > best_value:
-                    dfs(child)
+            col = A[g]
+            saved = col[t + 1 :]
+            col[t + 1 :] = map(add, saved, tail)
+            child = cur + inc
+            if child + _completion_bound(A, Qt, sizes, t + 1, G, b) > best_value:
+                dfs(child, child_deficit)
+            col[t + 1 :] = saved
             labels0.pop()
             if opens:
                 sizes.pop()
@@ -319,7 +372,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
             if exhausted:
                 return
 
-    dfs(0.0)
+    dfs(0.0, G * a)
     return OptimalResult(
         value=best_value,
         grouping=best_grouping,

@@ -226,6 +226,13 @@ def test_cmd_solve_export_only(worked_file, tmp_path, capsys):
     assert "Binaries" in text and "y_2" not in text
 
 
+def test_cmd_solve_export_unwritable_path(worked_file, tmp_path, capsys):
+    lp_path = tmp_path / "missing" / "model.lp"
+    code = main(["solve", "--input", str(worked_file), "--export-lp", str(lp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cmd_solve_export_n3(tmp_path, capsys):
     src = tmp_path / "tiny.txt"
     src.write_text("3 1 3 3\nDIST\n1 2\n3\n")
@@ -319,6 +326,14 @@ def test_cmd_gen_roundtrip(tmp_path, capsys):
     assert loaded.instance.n == 9
 
 
+def test_cmd_gen_unwritable_output(tmp_path, capsys):
+    out = tmp_path / "missing" / "gen.txt"
+    code = main(["gen", "--n", "6", "--g", "3", "--a", "2", "--b", "2", "--seed", "1",
+                 "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cmd_gen_bad_bounds(capsys):
     code = main(["gen", "--n", "6", "--g", "4", "--a", "2", "--b", "3", "--seed", "1"])
     assert code == 2
@@ -359,3 +374,7 @@ def test_cmd_solve_bad_numeric_flags(worked_file, capsys):
     )
     assert code == 2
     assert "restarts" in capsys.readouterr().err
+    # NaN compares false with every bound, so a plain "<= 0" check lets it through
+    code = main(["solve", "--input", str(worked_file), "--time-limit", "nan"])
+    assert code == 2
+    assert "time_budget" in capsys.readouterr().err

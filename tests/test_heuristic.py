@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdgp import (
     Grouping,
@@ -75,6 +76,25 @@ def test_local_search_monotone():
         before = objective_value(start, inst.dist)
         after = objective_value(local_search(inst, start), inst.dist)
         assert after + TOL >= before
+
+
+@st.composite
+def _signed_starts(draw):
+    n = draw(st.integers(2, 12))
+    G = draw(st.integers(1, n))
+    a = draw(st.integers(1, n // G))
+    b = draw(st.integers(-(-n // G), n))
+    inst = random_instance(draw(st.integers(0, 2**32 - 1)), n, G, a, b, low=-100.0)
+    return inst, greedy_construct(inst, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_signed_starts())
+def test_local_search_monotone_on_signed_distances(case):
+    inst, start = case
+    result = local_search(inst, start)
+    assert validate_grouping(result, inst).feasible
+    assert objective_value(result, inst.dist) >= objective_value(start, inst.dist)
 
 
 def test_local_search_rejects_infeasible_start(worked_instance):

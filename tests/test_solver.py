@@ -208,6 +208,29 @@ def test_bnb_matches_oracle_on_signed_distances(inst):
     assert objective_value(bnb.grouping, inst.dist) == bnb.value
 
 
+@settings(max_examples=150, deadline=None)
+@given(_signed_instances())
+def test_bound_along_optimal_prefixes_signed(inst):
+    # with negative entries an element may gain most from as few partners as
+    # the lower size bound allows, so the bound must not assume b-1 of them
+    opt = solve_bruteforce(inst)
+    labels_by_element = opt.grouping.labels()
+    prefix = tuple(labels_by_element[e] for e in range(1, inst.n + 1))
+    for t in range(inst.n + 1):
+        state = SearchState(inst, prefix[:t])
+        assert partial_value(state) + upper_bound(state) + TOL >= opt.value
+
+
+def test_bnb_bound_tightness_regression():
+    # the bound that pooled an element's partners across groups needed
+    # 60,184 nodes to prove this optimum
+    rng = np.random.default_rng(1)
+    inst = Instance(DistanceMatrix(16, rng.uniform(0, 100, 120)), 4, 4, 4)
+    result = solve_bnb(inst, SolveOptions(node_budget=10_000))
+    assert result.proven
+    assert result.value == pytest.approx(1788.1898, abs=1e-4)
+
+
 def test_bnb_result_satisfies_full_model():
     inst = random_instance(21, 8, 3, 2, 3)
     result = solve_bnb(inst)
@@ -222,3 +245,5 @@ def test_solve_options_validation():
         SolveOptions(node_budget=0)
     with pytest.raises(ValueError):
         SolveOptions(time_budget=-1.0)
+    with pytest.raises(ValueError):
+        SolveOptions(time_budget=float("nan"))
