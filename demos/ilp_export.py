@@ -1,8 +1,9 @@
 """Build the three ILP variants and export one in LP format.
 
-The models are plain data (variables, linear rows, objective), so external
-MILP solvers can consume the export while the package's own checker replays
-any candidate assignment against the same rows.
+The models are plain arrays: column names, the objective, row names, the
+rows in CSR form and their lower/upper bounds. External MILP solvers can
+consume the export while the package's own checker replays any candidate
+assignment against the same rows in one vectorised pass.
 
 Run:  python demos/ilp_export.py
 """

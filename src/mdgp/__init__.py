@@ -32,10 +32,7 @@ from .heuristic import HeuristicResult, greedy_construct, local_search, multista
 from .model import (
     CheckReport,
     IlpModel,
-    LeaderVar,
-    LinearConstraint,
     PairAssignment,
-    PairVar,
     build_degree_only,
     build_equal,
     build_model,
@@ -71,12 +68,9 @@ __all__ = [
     "HeuristicResult",
     "IlpModel",
     "Instance",
-    "LeaderVar",
-    "LinearConstraint",
     "METRICS",
     "OptimalResult",
     "PairAssignment",
-    "PairVar",
     "SchemaError",
     "SearchState",
     "SolveOptions",

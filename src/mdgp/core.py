@@ -93,6 +93,11 @@ class DistanceMatrix:
             )
         if expected and not np.all(np.isfinite(condensed)):
             raise ValueError("all distances must be finite")
+        # every objective, swap delta and bound adds up disjoint pairs, so a
+        # finite absolute sum keeps all of them finite
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.abs(condensed).sum()):
+                raise ValueError("distances too large: their absolute sum overflows")
         condensed.flags.writeable = False
         self.n = n
         self._condensed = condensed

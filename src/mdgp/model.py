@@ -14,81 +14,45 @@ count are pinned down:
 Constraint names are stable (``tri1_i_j_k``, ``dmin_i``, ``dmax_i``,
 ``deq_i``, ``lex_i_j``, ``lforce_j``, ``lcount``) so violation reports and
 exported LP files are diffable.
+
+A model is plain arrays. Columns (``variables``) are the pair variables
+``x_i_j`` (1-based, i < j) in lexicographic order, the order of
+``DistanceMatrix.condensed()``, followed in ``unequal`` by the leader
+variables ``y_2 .. y_N``; ``objective`` holds one coefficient per pair
+column. Rows (``constraints``) are in CSR form: row r has the terms
+``coefs[k] * column indices[k]`` for k in ``indptr[r]:indptr[r+1]`` and reads
+``lo[r] <= row <= hi[r]``, with -inf/+inf on the open side of a one-sided
+row (the arrays ``scipy.optimize.milp`` takes). The terms of a row keep
+construction order, not column order, because the LP text prints them in
+that order: ``tri1_i_j_k`` is ``x_ij + x_jk - x_ik``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
+
+import numpy as np
 
 from .core import Grouping, Instance
 
 VARIANTS = ("equal", "unequal", "degree_only")
 
 
-@dataclass(frozen=True)
-class PairVar:
-    """Indicator that elements i and j (1-based, i < j) share a group."""
-
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if not (1 <= self.i < self.j):
-            raise ValueError(f"pair variable needs 1 <= i < j, got ({self.i}, {self.j})")
-
-    @property
-    def name(self) -> str:
-        return f"x_{self.i}_{self.j}"
-
-
-@dataclass(frozen=True)
-class LeaderVar:
-    """Indicator that element j (j >= 2) is the smallest index in its group."""
-
-    j: int
-
-    def __post_init__(self):
-        if self.j < 2:
-            raise ValueError("leader variables exist only for j >= 2")
-
-    @property
-    def name(self) -> str:
-        return f"y_{self.j}"
-
-
-VarRef = Union[PairVar, LeaderVar]
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    name: str
-    terms: tuple[tuple[int, VarRef], ...]
-    sense: str  # "<=", ">=", "="
-    rhs: int
-
-    def __post_init__(self):
-        if self.sense not in ("<=", ">=", "="):
-            raise ValueError(f"bad sense {self.sense!r}")
-        refs = [v for _, v in self.terms]
-        if len(refs) != len(set(refs)):
-            raise ValueError(f"constraint {self.name}: duplicate variable in terms")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IlpModel:
+    """Column names and objective, plus row names, CSR terms and row bounds."""
+
     n: int
-    variables: tuple[VarRef, ...]
-    objective: tuple[tuple[float, PairVar], ...]
-    constraints: tuple[LinearConstraint, ...]
     variant: str
-
-    def pair_vars(self) -> list[PairVar]:
-        return [v for v in self.variables if isinstance(v, PairVar)]
-
-    def leader_vars(self) -> list[LeaderVar]:
-        return [v for v in self.variables if isinstance(v, LeaderVar)]
+    variables: tuple[str, ...]
+    objective: np.ndarray
+    constraints: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    coefs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,40 +91,80 @@ def _pairs(n: int):
     return combinations(range(1, n + 1), 2)
 
 
-def _objective(instance: Instance) -> tuple[tuple[float, PairVar], ...]:
-    return tuple(
-        (instance.dist.lookup(i, j), PairVar(i, j)) for i, j in _pairs(instance.n)
-    )
+class _Rows:
+    """Row accumulator shared by the builders.
+
+    ``add`` appends a block of rows that share a term count, coefficients
+    (1 unless given) and bounds. ``col[i, j]`` (0-based, i != j) is the
+    column of the pair {i, j}.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.npairs = n * (n - 1) // 2
+        self.col = np.zeros((n, n), dtype=np.intp)
+        iu, ju = np.triu_indices(n, k=1)
+        self.col[iu, ju] = self.col[ju, iu] = np.arange(self.npairs)
+        self.names: list[str] = []
+        self.parts: list[tuple[np.ndarray, ...]] = []
+
+    def add(self, names, cols, coefs=1, lo=-np.inf, hi=np.inf) -> None:
+        if not names:
+            return
+        rows = len(names)
+        cols = np.asarray(cols, dtype=np.intp).reshape(rows, -1)
+        self.names += names
+        self.parts.append((
+            np.full(rows, cols.shape[1]),
+            cols.ravel(),
+            np.broadcast_to(np.asarray(coefs, dtype=np.int64), cols.shape).ravel(),
+            np.full(rows, float(lo)),
+            np.full(rows, float(hi)),
+        ))
+
+    def degree(self) -> np.ndarray:
+        """Row i: the columns of the pairs containing element i, partners ascending."""
+        return self.col[~np.eye(self.n, dtype=bool)].reshape(self.n, self.n - 1)
+
+    def model(self, instance: Instance, variant: str) -> IlpModel:
+        lens, indices, coefs, lo, hi = (np.concatenate(a) for a in zip(*self.parts))
+        indptr = np.zeros(len(lens) + 1, dtype=np.intp)
+        np.cumsum(lens, out=indptr[1:])
+        for arr in (indptr, indices, coefs, lo, hi):
+            arr.flags.writeable = False
+        variables = [f"x_{i}_{j}" for i, j in _pairs(self.n)]
+        if variant == "unequal":
+            variables += [f"y_{j}" for j in range(2, self.n + 1)]
+        return IlpModel(
+            n=self.n,
+            variant=variant,
+            variables=tuple(variables),
+            objective=instance.dist.condensed(),
+            constraints=tuple(self.names),
+            indptr=indptr,
+            indices=indices,
+            coefs=coefs,
+            lo=lo,
+            hi=hi,
+        )
 
 
-def _triangle_rows(n: int) -> list[LinearConstraint]:
-    rows = []
-    for i, j, k in combinations(range(1, n + 1), 3):
-        xij, xik, xjk = PairVar(i, j), PairVar(i, k), PairVar(j, k)
-        suffix = f"{i}_{j}_{k}"
-        rows.append(LinearConstraint(f"tri1_{suffix}", ((1, xij), (1, xjk), (-1, xik)), "<=", 1))
-        rows.append(LinearConstraint(f"tri2_{suffix}", ((1, xij), (1, xik), (-1, xjk)), "<=", 1))
-        rows.append(LinearConstraint(f"tri3_{suffix}", ((1, xik), (1, xjk), (-1, xij)), "<=", 1))
+def _rows_with_triangles(n: int) -> _Rows:
+    rows = _Rows(n)
+    triples = list(combinations(range(1, n + 1), 3))
+    i, j, k = (np.array(triples, dtype=np.intp).reshape(-1, 3) - 1).T
+    xij, xik, xjk = rows.col[i, j], rows.col[i, k], rows.col[j, k]
+    # per triple: tri1 = x_ij + x_jk - x_ik, tri2 = x_ij + x_ik - x_jk, tri3 = x_ik + x_jk - x_ij
+    cols = np.stack([xij, xjk, xik, xij, xik, xjk, xik, xjk, xij], axis=1)
+    names = [f"tri{r}_{a}_{b}_{c}" for a, b, c in triples for r in (1, 2, 3)]
+    rows.add(names, cols, (1, 1, -1), hi=1)
     return rows
 
 
-def _degree_terms(i: int, n: int) -> tuple[tuple[int, VarRef], ...]:
-    # row sum over the unordered pairs containing i
-    return tuple(
-        (1, PairVar(min(i, j), max(i, j))) for j in range(1, n + 1) if j != i
-    )
-
-
-def _degree_rows(n: int, a: int, b: int) -> list[LinearConstraint]:
-    rows = [
-        LinearConstraint(f"dmin_{i}", _degree_terms(i, n), ">=", a - 1)
-        for i in range(1, n + 1)
-    ]
-    rows += [
-        LinearConstraint(f"dmax_{i}", _degree_terms(i, n), "<=", b - 1)
-        for i in range(1, n + 1)
-    ]
-    return rows
+def _add_degree_bounds(rows: _Rows, a: int, b: int) -> None:
+    elements = range(1, rows.n + 1)
+    rows.add([f"dmin_{i}" for i in elements], rows.degree(), lo=a - 1)
+    rows.add([f"dmax_{i}" for i in elements], rows.degree(), hi=b - 1)
 
 
 def build_equal(instance: Instance) -> IlpModel:
@@ -171,32 +175,17 @@ def build_equal(instance: Instance) -> IlpModel:
             f"equal-size formulation inapplicable: N={n} is not divisible by G={G}"
         )
     size = n // G
-    constraints = _triangle_rows(n)
-    constraints += [
-        LinearConstraint(f"deq_{i}", _degree_terms(i, n), "=", size - 1)
-        for i in range(1, n + 1)
-    ]
-    return IlpModel(
-        n=n,
-        variables=tuple(PairVar(i, j) for i, j in _pairs(n)),
-        objective=_objective(instance),
-        constraints=tuple(constraints),
-        variant="equal",
-    )
+    rows = _rows_with_triangles(n)
+    rows.add([f"deq_{i}" for i in range(1, n + 1)], rows.degree(), lo=size - 1, hi=size - 1)
+    return rows.model(instance, "equal")
 
 
 def build_degree_only(instance: Instance) -> IlpModel:
     """Degree-bounds-only variant: admits any number of groups with sizes in
     [a, b]. Kept for demonstrating why the group count must be pinned."""
-    n = instance.n
-    constraints = _triangle_rows(n) + _degree_rows(n, instance.a, instance.b)
-    return IlpModel(
-        n=n,
-        variables=tuple(PairVar(i, j) for i, j in _pairs(n)),
-        objective=_objective(instance),
-        constraints=tuple(constraints),
-        variant="degree_only",
-    )
+    rows = _rows_with_triangles(instance.n)
+    _add_degree_bounds(rows, instance.a, instance.b)
+    return rows.model(instance, "degree_only")
 
 
 def build_unequal(instance: Instance) -> IlpModel:
@@ -207,34 +196,18 @@ def build_unequal(instance: Instance) -> IlpModel:
     one count row: sum_j y_j = G - 1 (element 1 leads implicitly).
     """
     n, G = instance.n, instance.G
-    constraints = _triangle_rows(n) + _degree_rows(n, instance.a, instance.b)
-    for i, j in _pairs(n):
-        constraints.append(
-            LinearConstraint(
-                f"lex_{i}_{j}", ((1, PairVar(i, j)), (1, LeaderVar(j))), "<=", 1
-            )
-        )
+    rows = _rows_with_triangles(n)
+    _add_degree_bounds(rows, instance.a, instance.b)
+    P = rows.npairs  # column of y_j is P + j - 2
+    _, ju = np.triu_indices(n, k=1)
+    rows.add(
+        [f"lex_{i}_{j}" for i, j in _pairs(n)],
+        np.stack([np.arange(P), P + ju - 1], axis=1), hi=1,
+    )
     for j in range(2, n + 1):
-        terms = tuple((1, PairVar(i, j)) for i in range(1, j)) + ((1, LeaderVar(j)),)
-        constraints.append(LinearConstraint(f"lforce_{j}", terms, ">=", 1))
-    constraints.append(
-        LinearConstraint(
-            "lcount",
-            tuple((1, LeaderVar(j)) for j in range(2, n + 1)),
-            "=",
-            G - 1,
-        )
-    )
-    variables = tuple(PairVar(i, j) for i, j in _pairs(n)) + tuple(
-        LeaderVar(j) for j in range(2, n + 1)
-    )
-    return IlpModel(
-        n=n,
-        variables=variables,
-        objective=_objective(instance),
-        constraints=tuple(constraints),
-        variant="unequal",
-    )
+        rows.add([f"lforce_{j}"], np.append(rows.col[: j - 1, j - 1], P + j - 2), lo=1)
+    rows.add(["lcount"], P + np.arange(n - 1), lo=G - 1, hi=G - 1)
+    return rows.model(instance, "unequal")
 
 
 def build_model(instance: Instance, variant: str) -> IlpModel:
@@ -263,38 +236,26 @@ def encode_grouping(grouping: Grouping, variant: str = "unequal") -> PairAssignm
     return PairAssignment(x=x, y=y)
 
 
-def _value_of(asg: PairAssignment, var: VarRef) -> int:
-    if isinstance(var, PairVar):
-        return asg.x[(var.i, var.j)]
-    assert asg.y is not None
-    return asg.y[var.j]
-
-
 def check_assignment(model: IlpModel, asg: PairAssignment) -> CheckReport:
-    """Evaluate every constraint literally; violations are names, not errors."""
-    want_pairs = {(v.i, v.j) for v in model.pair_vars()}
-    if set(asg.x) != want_pairs:
+    """Evaluate every row in one vectorised pass; violations are row names in
+    row order, not errors."""
+    pairs = list(_pairs(model.n))
+    if asg.x.keys() != set(pairs):
         raise ValueError("assignment pair variables do not match the model")
-    want_leaders = {v.j for v in model.leader_vars()}
-    have_leaders = set(asg.y) if asg.y is not None else set()
-    if have_leaders != want_leaders:
+    leaders = range(2, 2 + len(model.variables) - len(pairs))
+    if (set(asg.y) if asg.y is not None else set()) != set(leaders):
         raise ValueError("assignment leader variables do not match the model")
 
-    objective = 0.0
-    for coeff, var in model.objective:
-        objective += coeff * asg.x[(var.i, var.j)]
-
-    violations = []
-    for con in model.constraints:
-        lhs = sum(c * _value_of(asg, v) for c, v in con.terms)
-        ok = (
-            lhs <= con.rhs
-            if con.sense == "<="
-            else lhs >= con.rhs if con.sense == ">=" else lhs == con.rhs
-        )
-        if not ok:
-            violations.append(con.name)
-    return CheckReport(objective=objective, violations=tuple(violations))
+    values = np.array([asg.x[p] for p in pairs] + [asg.y[j] for j in leaders], dtype=np.int64)
+    row_of = np.repeat(np.arange(len(model.constraints)), np.diff(model.indptr))
+    lhs = np.bincount(
+        row_of, weights=model.coefs * values[model.indices], minlength=len(model.constraints)
+    )
+    violated = np.flatnonzero((lhs < model.lo) | (lhs > model.hi))
+    return CheckReport(
+        objective=float(model.objective[values[: len(pairs)] == 1].sum()),
+        violations=tuple(model.constraints[r] for r in violated),
+    )
 
 
 def _coeff_str(c: float) -> str:
@@ -302,14 +263,14 @@ def _coeff_str(c: float) -> str:
     return repr(float(c))
 
 
-def _render_terms(terms, float_coeffs: bool) -> str:
+def _render_terms(coeffs, names, float_coeffs: bool) -> str:
     parts = []
-    for idx, (coeff, var) in enumerate(terms):
+    for idx, (coeff, name) in enumerate(zip(coeffs, names)):
         mag = abs(coeff)
         if float_coeffs:
-            body = f"{_coeff_str(mag)} {var.name}"
+            body = f"{_coeff_str(mag)} {name}"
         else:
-            body = var.name if mag == 1 else f"{mag} {var.name}"
+            body = name if mag == 1 else f"{mag} {name}"
         if idx == 0:
             parts.append(body if coeff >= 0 else f"- {body}")
         else:
@@ -324,15 +285,20 @@ def export_lp(model: IlpModel) -> str:
     lexicographic order and constraints in construction order, so exports are
     deterministic and diffable. Each constraint stays on one line.
     """
+    names = model.variables
     lines = [f"\\ {model.variant} variant, n={model.n}", "Maximize"]
-    obj_terms = tuple((c, v) for c, v in model.objective)
-    lines.append(f" obj: {_render_terms(obj_terms, float_coeffs=True)}")
+    obj = model.objective.tolist()  # the pair columns come first
+    lines.append(f" obj: {_render_terms(obj, names[: len(obj)], float_coeffs=True)}")
     lines.append("Subject To")
-    for con in model.constraints:
-        lines.append(
-            f" {con.name}: {_render_terms(con.terms, float_coeffs=False)} {con.sense} {con.rhs}"
-        )
+    indptr, coefs = model.indptr.tolist(), model.coefs.tolist()
+    term_names = np.array(names, dtype=object)[model.indices].tolist()
+    bounds = zip(model.constraints, model.lo.tolist(), model.hi.tolist())
+    for r, (row, lo, hi) in enumerate(bounds):
+        s, e = indptr[r], indptr[r + 1]
+        terms = _render_terms(coefs[s:e], term_names[s:e], float_coeffs=False)
+        sense, rhs = ("=", lo) if lo == hi else ("<=", hi) if lo == -np.inf else (">=", lo)
+        lines.append(f" {row}: {terms} {sense} {int(rhs)}")
     lines.append("Binaries")
-    lines.append(" " + " ".join(v.name for v in model.variables))
+    lines.append(" " + " ".join(names))
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -359,6 +359,25 @@ def test_cmd_solve_all_negative_distances(tmp_path, capsys):
     assert report["proven"] is True
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cmd_overflowing_distances_rejected(command, tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("4 2 2 2\nDIST\n1e308 1e308 1e308\n1e308 1e308\n1e308\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("1 2\n3 4\n")
+    argv = {
+        "solve": ["solve", "--input", str(path), "--json"],
+        "verify": ["verify", "--input", str(path), "--solution", str(sol),
+                   "--against-oracle", "--json"],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err and "overflows" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cmd_solve_schema_error_on_categorical_manhattan(tmp_path, capsys):
     path = tmp_path / "mixed.txt"
     path.write_text("4 2 2 2\nATTR 2\nnum cat\n1 x\n2 y\n3 x\n4 y\n")

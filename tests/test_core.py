@@ -254,6 +254,15 @@ def test_distance_matrix_requires_finite_entries():
         DistanceMatrix(3, [1.0, 2.0])  # wrong length
 
 
+def test_distance_matrix_rejects_overflowing_sum():
+    # each entry is finite, but an objective over these pairs would overflow
+    with pytest.raises(ValueError, match="absolute sum overflows"):
+        DistanceMatrix(4, [1e308] * 6)
+    with pytest.raises(ValueError, match="absolute sum overflows"):
+        DistanceMatrix(3, [1e308, -1e308, 0.0])
+    assert DistanceMatrix(3, [1e307, -1e307, 1e307]).n == 3
+
+
 def test_distance_matrix_from_square_checks_symmetry():
     with pytest.raises(ValueError):
         DistanceMatrix.from_square([[0.0, 1.0], [2.0, 0.0]])

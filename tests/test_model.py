@@ -1,14 +1,16 @@
+import hashlib
 import re
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdgp import (
     Grouping,
-    LinearConstraint,
     PairAssignment,
-    PairVar,
     build_degree_only,
     build_equal,
     build_model,
@@ -71,6 +73,25 @@ def parse_lp(text: str):
     return objective, constraints, binaries
 
 
+def model_rows(model):
+    """(name, sense, rhs, {column name: coefficient}) per row, read from the
+    model's CSR arrays and row bounds."""
+    rows = []
+    for r, name in enumerate(model.constraints):
+        lo, hi = model.lo[r], model.hi[r]
+        if lo == hi:
+            sense, rhs = "=", lo
+        else:
+            # a one-sided row: exactly one bound is infinite
+            assert np.isneginf(lo) != np.isposinf(hi), name
+            sense, rhs = ("<=", hi) if np.isneginf(lo) else (">=", lo)
+        cols = model.indices[model.indptr[r]:model.indptr[r + 1]]
+        coefs = model.coefs[model.indptr[r]:model.indptr[r + 1]]
+        terms = {model.variables[k]: int(c) for k, c in zip(cols, coefs)}
+        rows.append((name, sense, rhs, terms))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # model sizes
 # ---------------------------------------------------------------------------
@@ -88,8 +109,8 @@ def test_worked_example_unequal_counts(worked_instance):
     m = build_unequal(worked_instance)
     assert len(m.variables) == 20  # 15 pair + 5 leader
     by_prefix = {}
-    for c in m.constraints:
-        by_prefix.setdefault(c.name.split("_")[0], []).append(c)
+    for name in m.constraints:
+        by_prefix.setdefault(name.split("_")[0], []).append(name)
     assert len(by_prefix["tri1"]) == len(by_prefix["tri2"]) == len(by_prefix["tri3"]) == 20
     assert len(by_prefix["dmin"]) == len(by_prefix["dmax"]) == 6
     assert len(by_prefix["lex"]) == 15
@@ -101,7 +122,7 @@ def test_worked_example_unequal_counts(worked_instance):
 def test_single_triple_has_three_triangle_rows():
     inst = random_instance(0, 3, 1, 2, 3)
     m = build_degree_only(inst)
-    tri = [c for c in m.constraints if c.name.startswith("tri")]
+    tri = [name for name in m.constraints if name.startswith("tri")]
     assert len(tri) == 3
 
 
@@ -109,16 +130,16 @@ def test_equal_model_counts(worked_instance):
     m = build_equal(worked_instance)
     assert len(m.variables) == 15
     assert len(m.constraints) == 66
-    for c in m.constraints:
-        if c.name.startswith("deq"):
-            assert c.sense == "=" and c.rhs == 1  # N/G - 1
+    for name, sense, rhs, _ in model_rows(m):
+        if name.startswith("deq"):
+            assert sense == "=" and rhs == 1  # N/G - 1
 
 
 def test_equal_model_degree_two():
     inst = random_instance(2, 6, 2, 3, 3)
     m = build_equal(inst)
-    deq = [c for c in m.constraints if c.name.startswith("deq")]
-    assert len(deq) == 6 and all(c.rhs == 2 for c in deq)
+    deq = [row for row in model_rows(m) if row[0].startswith("deq")]
+    assert len(deq) == 6 and all(rhs == 2 for _, _, rhs, _ in deq)
 
 
 def test_equal_model_rejects_indivisible():
@@ -209,12 +230,67 @@ def test_check_rejects_variable_mismatch(worked_instance):
     asg = encode_grouping(Grouping([(1, 2), (3, 4)]), "unequal")  # wrong n
     with pytest.raises(ValueError):
         check_assignment(m, asg)
+    optimum = Grouping([(1, 5), (2, 4), (3, 6)])
+    with pytest.raises(ValueError, match="leader"):
+        check_assignment(m, encode_grouping(optimum, "equal"))  # no leaders
+    with pytest.raises(ValueError, match="leader"):
+        check_assignment(build_equal(worked_instance), encode_grouping(optimum, "unequal"))
 
 
-def test_constraint_rejects_duplicate_vars():
-    v = PairVar(1, 2)
-    with pytest.raises(ValueError):
-        LinearConstraint("dup", ((1, v), (1, v)), "<=", 1)
+def test_rows_never_repeat_a_column():
+    for n in range(1, 9):
+        # equal needs N divisible by G: singleton groups
+        shapes = {"equal": (n, 1, 1), "degree_only": (1, 1, n), "unequal": (1, 1, n)}
+        for variant, (G, a, b) in shapes.items():
+            m = build_model(random_instance(n, n, G, a, b), variant)
+            assert len(m.indptr) == len(m.constraints) + 1
+            for r, name in enumerate(m.constraints):
+                cols = m.indices[m.indptr[r]:m.indptr[r + 1]].tolist()
+                assert len(cols) == len(set(cols)), f"{variant} n={n}: {name} repeats a column"
+                assert all(0 <= k < len(m.variables) for k in cols)
+
+
+@st.composite
+def _assignments(draw):
+    """A model of any variant at N <= 7 and random 0/1 values for its columns."""
+    n = draw(st.integers(1, 7))
+    variant = draw(st.sampled_from(["equal", "degree_only", "unequal"]))
+    if variant == "equal":
+        G = draw(st.sampled_from([g for g in range(1, n + 1) if n % g == 0]))
+        a = b = n // G
+    else:
+        G = draw(st.integers(1, n))
+        a = draw(st.integers(1, n // G))
+        b = draw(st.integers(-(-n // G), n))
+    inst = random_instance(draw(st.integers(0, 2**16)), n, G, a, b, low=-100.0)
+    pairs = list(combinations(range(1, n + 1), 2))
+
+    def bits(k):
+        return draw(st.lists(st.integers(0, 1), min_size=k, max_size=k))
+
+    x = dict(zip(pairs, bits(len(pairs))))
+    y = dict(zip(range(2, n + 1), bits(n - 1))) if variant == "unequal" else None
+    return build_model(inst, variant), PairAssignment(x=x, y=y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_assignments())
+def test_check_matches_rows_evaluated_from_lp_text(case):
+    model, asg = case
+    objective, constraints, _ = parse_lp(export_lp(model))
+    values = {f"x_{i}_{j}": v for (i, j), v in asg.x.items()}
+    values.update({f"y_{j}": v for j, v in (asg.y or {}).items()})
+    violated = []
+    for name, terms, sense, rhs in constraints:
+        lhs = sum(c * values[v] for v, c in terms.items())
+        ok = lhs <= rhs if sense == "<=" else lhs >= rhs if sense == ">=" else lhs == rhs
+        if not ok:
+            violated.append(name)
+    report = check_assignment(model, asg)
+    assert report.violations == tuple(violated)
+    assert report.objective == pytest.approx(
+        sum(c * values[v] for v, c in objective.items()), abs=TOL
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +308,12 @@ def test_unequal_accepts_exactly_the_feasible_partitions(n, G, a, b):
 
 @pytest.mark.parametrize("n,G,a,b", [(5, 2, 2, 3), (6, 3, 2, 3), (7, 3, 2, 3), (8, 2, 2, 4)])
 def test_encoding_objective_matches_grouping_objective(n, G, a, b):
-    inst = random_instance(n + 17, n, G, a, b)
-    m = build_unequal(inst)
-    for g in iter_set_partitions(n):
-        report = check_assignment(m, encode_grouping(g, "unequal"))
-        assert report.objective == pytest.approx(
-            objective_value(g, inst.dist), abs=TOL
-        )
+    for low in (0.0, -100.0):
+        inst = random_instance(n + 17, n, G, a, b, low=low)
+        m = build_unequal(inst)
+        for g in iter_set_partitions(n):
+            report = check_assignment(m, encode_grouping(g, "unequal"))
+            assert report.objective == objective_value(g, inst.dist)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +337,31 @@ def test_export_roundtrip(variant, worked_instance):
     model = build_model(worked_instance, variant)
     objective, constraints, binaries = parse_lp(export_lp(model))
 
-    assert binaries == [v.name for v in model.variables]
-    assert objective == {v.name: c for c, v in model.objective}
+    assert binaries == list(model.variables)
+    assert objective == dict(zip(model.variables, model.objective.tolist()))
 
     assert len(constraints) == len(model.constraints)
-    for got, want in zip(constraints, model.constraints):
+    for got, want in zip(constraints, model_rows(model)):
         name, terms, sense, rhs = got
-        assert name == want.name
-        assert sense == want.sense
-        assert rhs == want.rhs
-        assert terms == {v.name: c for c, v in want.terms}
+        assert name == want[0]
+        assert sense == want[1]
+        assert rhs == want[2]
+        assert terms == want[3]
+
+
+# sha256 of export_lp; the LP text is part of the interface, so it stays byte-identical
+LP_SHA256 = {
+    ("worked", "equal"): "e3bae71032f40af9a9feb4b81d0dc5409bad8365ee01d608356528e3eb2174c7",
+    ("worked", "degree_only"): "2fb9cdde612141bc47b33966c790f4aad0e04b9fa6880c52399a961c87008669",
+    ("worked", "unequal"): "e811ef0239762c58923da9eb4f5110fa187d09b5df8858173c7b4c278f2e7bb7",
+    ("signed9", "equal"): "c7c32c103e21ad3d74886f708b25c234261fd3d05cacc1ba98538e80f552c13e",
+    ("signed9", "degree_only"): "2685136813fcc62c913da30cfee9fc74fe08808d40d527d9eb7352dfcd446ed6",
+    ("signed9", "unequal"): "650f338eaa4d792d3120e557153c582889acb6af266c7020d49e21f0acc0c32b",
+}
+
+
+@pytest.mark.parametrize("which,variant", sorted(LP_SHA256))
+def test_export_bytes_pinned(which, variant, worked_instance):
+    inst = worked_instance if which == "worked" else random_instance(9, 9, 3, 2, 4, low=-100.0)
+    text = export_lp(build_model(inst, variant))
+    assert hashlib.sha256(text.encode()).hexdigest() == LP_SHA256[which, variant]
