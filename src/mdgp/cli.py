@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -173,6 +174,8 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
                 parsed = [float(v) for v in values]
             except ValueError:
                 raise ParseError("malformed distance value", row_lineno) from None
+            if not all(math.isfinite(v) for v in parsed):
+                raise ParseError("all distances must be finite", row_lineno)
             negatives += sum(1 for v in parsed if v < 0)
             condensed.extend(parsed)
         if negatives:
@@ -182,6 +185,9 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
             )
         try:
             dist = DistanceMatrix(n, condensed)
+        except ValueError as exc:  # the sum of the whole body overflows
+            raise ParseError(str(exc), mode_lineno) from None
+        try:
             instance = Instance(dist, g, a, b)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None

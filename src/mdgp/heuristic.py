@@ -4,11 +4,25 @@ The point of this module is not to compete with the literature's
 metaheuristics but to give the exact solvers something to benchmark, so the
 emphasis is on determinism: identical (seed, restarts) always produce the
 identical grouping, on any platform.
+
+Local search keeps the delta matrix of the MDGP metaheuristics literature
+(Gallego et al. 2013; Lai & Hao 2016): an n×G array ``W`` whose entry
+``W[u, g]`` is the sum of ``d[u, w]`` over the members w of group g. Each
+swap or move delta is a few entries of ``W`` and ``d``, so one step scores
+every candidate in a handful of numpy operations, and an accepted step
+updates two columns of ``W`` in O(n). ``W`` is built and updated by
+elementwise column additions, never a matrix product, so it does not depend
+on a BLAS library or its thread count. Deltas within a fixed tolerance
+``tol = 1e-9 · max|d| · b`` count as tied and go to the smallest move
+descriptor, and a step must gain more than tol, so the trajectory does not
+depend on float summation order either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import Grouping, Instance, objective_value, validate_grouping
 from .rng import SplitMix64, derive_seed
@@ -20,6 +34,7 @@ class HeuristicResult:
     value: float
     restarts_used: int
     best_restart_index: int
+    restart_values: tuple[float, ...]  # local-search value of each restart, in order
 
 
 def greedy_construct(instance: Instance, seed: int) -> Grouping:
@@ -37,21 +52,19 @@ def greedy_construct(instance: Instance, seed: int) -> Grouping:
     elements = list(range(1, n + 1))
     seeds = rng.sample(elements, G)
     groups: list[list[int]] = [[s] for s in seeds]
-    rest = [e for e in elements if e not in set(seeds)]
+    seed_set = set(seeds)
+    rest = [e for e in elements if e not in seed_set]
     rng.shuffle(rest)
 
     for idx, e in enumerate(rest):
         left_after = len(rest) - idx - 1
+        # capacity guard: after placing e, every group must still be able to
+        # reach size a with the elements left over; placing e in a group below
+        # a lowers the deficit by one
+        deficit = sum(max(0, a - len(m)) for m in groups)
         best_g, best_inc = -1, float("-inf")
         for g, members in enumerate(groups):
-            if len(members) >= b:
-                continue
-            # capacity guard: after placing e, every group must still be able
-            # to reach size a with the elements left over
-            deficit = sum(max(0, a - len(m)) for m in groups)
-            if len(members) < a:
-                deficit -= 1
-            if deficit > left_after:
+            if len(members) >= b or deficit - (len(members) < a) > left_after:
                 continue
             inc = sum(d[e - 1][m - 1] for m in members)
             if inc > best_inc:
@@ -62,106 +75,87 @@ def greedy_construct(instance: Instance, seed: int) -> Grouping:
     return Grouping(groups)
 
 
-def _swap_delta(d, groups, ga, ia, gb, ib) -> float:
-    u, v = groups[ga][ia], groups[gb][ib]
-    du = d[u - 1]
-    dv = d[v - 1]
-    gain = sum(du[w - 1] for w in groups[gb] if w != v) + sum(
-        dv[w - 1] for w in groups[ga] if w != u
-    )
-    loss = sum(du[w - 1] for w in groups[ga] if w != u) + sum(
-        dv[w - 1] for w in groups[gb] if w != v
-    )
-    return gain - loss
-
-
-def _move_delta(d, groups, ga, ia, gb) -> float:
-    u = groups[ga][ia]
-    du = d[u - 1]
-    return sum(du[w - 1] for w in groups[gb]) - sum(
-        du[w - 1] for w in groups[ga] if w != u
-    )
+def _grouping(label: np.ndarray, G: int) -> Grouping:
+    return Grouping([(np.flatnonzero(label == g) + 1).tolist() for g in range(G)])
 
 
 def local_search(instance: Instance, start: Grouping) -> Grouping:
-    """Steepest ascent over swap and move neighborhoods until no move improves.
+    """Steepest ascent over swap and move neighborhoods until no step improves.
 
     Swaps exchange two elements between groups; moves relocate one element
-    when both size bounds stay satisfied. Ties between equally improving
-    moves go to the lexicographically smallest move descriptor
-    (swaps as (0, u, v), moves as (1, u, target group)), keeping the
-    trajectory deterministic.
+    when both size bounds stay satisfied. Every delta is read from the n×G
+    array ``W``, where ``W[u, g]`` is the distance sum from u to the members
+    of group g: swapping u and v gains
+    ``W[u,g(v)] + W[v,g(u)] - W[u,g(u)] - W[v,g(v)] - 2·d[u,v]`` and moving u
+    to g gains ``W[u,g] - W[u,g(u)]``. An accepted step changes two columns
+    of ``W`` by ±d[:, u] (and ±d[:, v]), O(n) work.
+
+    With ``tol = 1e-9 · max|d| · b``, a step improves only when its delta
+    exceeds tol, and improving steps within tol of the best delta are tied.
+    Ties go to the lexicographically smallest descriptor (swaps as
+    (0, min(u, v), max(u, v)), moves as (1, u, target group)), so the
+    trajectory does not depend on float summation order. The objective is
+    recomputed after each step and the search stops if it did not rise, so
+    the result is never worth less than the start.
     """
     report = validate_grouping(start, instance)
     if not report.feasible:
         raise ValueError(f"start grouping is infeasible: {report.violations}")
 
     d = instance.dist.as_square()
-    a, b = instance.a, instance.b
-    groups = [list(g) for g in start.groups]
+    n, G, a, b = instance.n, instance.G, instance.a, instance.b
+    tol = 1e-9 * float(np.abs(d).max()) * b
+    label = np.empty(n, dtype=np.intp)
+    for g, members in enumerate(start.groups):
+        label[np.array(members) - 1] = g
+    size = np.bincount(label, minlength=G)
+    # elementwise column sums, no matrix product: W is the same on every
+    # platform and BLAS build
+    W = np.zeros((n, G))
+    for w in range(n):
+        W[:, label[w]] += d[:, w]
+    rows = np.arange(n)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     value = objective_value(start, instance.dist)
 
     while True:
-        best_delta = 0.0
-        best_desc = None
-        best_apply = None
-
-        def consider(delta, desc, apply_spec):
-            nonlocal best_delta, best_desc, best_apply
-            if delta <= 0.0:
-                return
-            if (
-                best_desc is None
-                or delta > best_delta
-                or (delta == best_delta and desc < best_desc)
-            ):
-                best_delta, best_desc, best_apply = delta, desc, apply_spec
-
-        for ga in range(len(groups)):
-            for gb in range(ga + 1, len(groups)):
-                for ia in range(len(groups[ga])):
-                    for ib in range(len(groups[gb])):
-                        u, v = groups[ga][ia], groups[gb][ib]
-                        consider(
-                            _swap_delta(d, groups, ga, ia, gb, ib),
-                            (0, min(u, v), max(u, v)),
-                            ("swap", ga, ia, gb, ib),
-                        )
-
-        for ga in range(len(groups)):
-            if len(groups[ga]) - 1 < a:
-                continue
-            for gb in range(len(groups)):
-                if gb == ga or len(groups[gb]) + 1 > b:
-                    continue
-                for ia in range(len(groups[ga])):
-                    consider(
-                        _move_delta(d, groups, ga, ia, gb),
-                        (1, groups[ga][ia], gb + 1),
-                        ("move", ga, ia, gb, 0),
-                    )
-
-        if best_apply is None:
+        own = W[rows, label]
+        cross = W[:, label]  # cross[u, v] = W[u, g(v)]
+        swap = cross + cross.T - own[:, None] - own[None, :] - 2.0 * d
+        swap[~(upper & (label[:, None] != label[None, :]))] = -np.inf
+        move = W - own[:, None]
+        move[(size[label] <= a)[:, None] | (size >= b)[None, :]] = -np.inf
+        move[rows, label] = -np.inf
+        best = max(swap.max(), move.max())
+        if not best > tol:
             break
 
-        kind, ga, ia, gb, ib = best_apply
-        if kind == "swap":
-            groups[ga][ia], groups[gb][ib] = groups[gb][ib], groups[ga][ia]
+        # row-major order of both arrays is descriptor order
+        new = label.copy()
+        tied_swaps = np.flatnonzero((swap >= best - tol) & (swap > tol))
+        if tied_swaps.size:
+            u, v = divmod(int(tied_swaps[0]), n)
+            new[u], new[v] = label[v], label[u]
         else:
-            groups[gb].append(groups[ga].pop(ia))
-        candidate = Grouping(groups)
-        new_value = objective_value(candidate, instance.dist)
+            u, g = divmod(int(np.flatnonzero((move >= best - tol) & (move > tol))[0]), G)
+            new[u] = g
+        new_value = objective_value(_grouping(new, G), instance.dist)
         if new_value <= value:
             # float-drift guard: never return anything below the start value
-            if kind == "swap":
-                groups[ga][ia], groups[gb][ib] = groups[gb][ib], groups[ga][ia]
-            else:
-                groups[ga].insert(ia, groups[gb].pop())
             break
-        value = new_value
-        groups = [sorted(g) for g in groups]
 
-    return Grouping(groups)
+        if tied_swaps.size:
+            shift = d[:, v] - d[:, u]
+            W[:, label[u]] += shift
+            W[:, label[v]] -= shift
+        else:
+            W[:, label[u]] -= d[:, u]
+            W[:, g] += d[:, u]
+            size[label[u]] -= 1
+            size[g] += 1
+        value, label = new_value, new
+
+    return _grouping(label, G)
 
 
 def multistart(instance: Instance, restarts: int, seed: int) -> HeuristicResult:
@@ -176,12 +170,18 @@ def multistart(instance: Instance, restarts: int, seed: int) -> HeuristicResult:
     best: Grouping | None = None
     best_value = float("-inf")
     best_index = -1
+    values = []
     for r in range(1, restarts + 1):
         g = local_search(instance, greedy_construct(instance, derive_seed(seed, r)))
         v = objective_value(g, instance.dist)
+        values.append(v)
         if v > best_value:
             best, best_value, best_index = g, v, r
     assert best is not None
     return HeuristicResult(
-        grouping=best, value=best_value, restarts_used=restarts, best_restart_index=best_index
+        grouping=best,
+        value=best_value,
+        restarts_used=restarts,
+        best_restart_index=best_index,
+        restart_values=tuple(values),
     )

@@ -378,6 +378,23 @@ def test_cmd_overflowing_distances_rejected(command, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("text, message", [
+    # a non-finite entry is reported on its own row
+    ("3 1 3 3\nDIST\n1 inf\n2\n", "error: line 3: all distances must be finite"),
+    ("# nan below\n3 1 3 3\nDIST\n1 2\nnan\n", "error: line 5: all distances must be finite"),
+    # an overflowing sum belongs to no single row: reported at the DIST line
+    ("4 2 2 2\n\nDIST\n1e308 1e308 1e308\n1e308 1e308\n1e308\n",
+     "error: line 3: distances too large: their absolute sum overflows"),
+], ids=["inf-row", "nan-row", "overflow"])
+def test_cmd_dist_errors_report_their_line(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["solve", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message
+    assert captured.out == ""
+
+
 def test_cmd_solve_schema_error_on_categorical_manhattan(tmp_path, capsys):
     path = tmp_path / "mixed.txt"
     path.write_text("4 2 2 2\nATTR 2\nnum cat\n1 x\n2 y\n3 x\n4 y\n")

@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdgp import (
+    DistanceMatrix,
     Grouping,
+    Instance,
     greedy_construct,
     local_search,
     multistart,
@@ -10,8 +13,89 @@ from mdgp import (
     solve_bruteforce,
     validate_grouping,
 )
+from mdgp.cli import gen_instance, parse_instance
 from mdgp.rng import SplitMix64, derive_seed
 from conftest import TOL, random_instance, seeded_cases
+
+
+# ---------------------------------------------------------------------------
+# test-only reference: the per-candidate loop local_search used before the
+# delta matrix, with the same tie rule
+# ---------------------------------------------------------------------------
+
+def _swap_delta(d, groups, ga, ia, gb, ib) -> float:
+    u, v = groups[ga][ia], groups[gb][ib]
+    du = d[u - 1]
+    dv = d[v - 1]
+    gain = sum(du[w - 1] for w in groups[gb] if w != v) + sum(
+        dv[w - 1] for w in groups[ga] if w != u
+    )
+    loss = sum(du[w - 1] for w in groups[ga] if w != u) + sum(
+        dv[w - 1] for w in groups[gb] if w != v
+    )
+    return gain - loss
+
+
+def _move_delta(d, groups, ga, ia, gb) -> float:
+    u = groups[ga][ia]
+    du = d[u - 1]
+    return sum(du[w - 1] for w in groups[gb]) - sum(
+        du[w - 1] for w in groups[ga] if w != u
+    )
+
+
+def _tol(inst) -> float:
+    return 1e-9 * float(np.abs(inst.dist.condensed()).max(initial=0.0)) * inst.b
+
+
+def _candidates(inst, groups):
+    """Every legal swap and move as (delta, descriptor, (kind, ga, ia, gb, ib))."""
+    d = inst.dist.as_square()
+    out = []
+    for ga in range(len(groups)):
+        for gb in range(ga + 1, len(groups)):
+            for ia, u in enumerate(groups[ga]):
+                for ib, v in enumerate(groups[gb]):
+                    out.append((_swap_delta(d, groups, ga, ia, gb, ib),
+                                (0, min(u, v), max(u, v)), ("swap", ga, ia, gb, ib)))
+    for ga in range(len(groups)):
+        if len(groups[ga]) - 1 < inst.a:
+            continue
+        for gb in range(len(groups)):
+            if gb == ga or len(groups[gb]) + 1 > inst.b:
+                continue
+            for ia, u in enumerate(groups[ga]):
+                out.append((_move_delta(d, groups, ga, ia, gb), (1, u, gb + 1), ("move", ga, ia, gb, 0)))
+    return out
+
+
+def reference_local_search(inst, start):
+    """Steepest ascent summing group members per candidate: a step improves
+    when its delta exceeds tol, steps within tol of the best are tied and the
+    smallest descriptor wins, and the search stops if the objective did not
+    rise."""
+    tol = _tol(inst)
+    groups = [list(g) for g in start.groups]
+    value = objective_value(start, inst.dist)
+    while True:
+        improving = [c for c in _candidates(inst, groups) if c[0] > tol]
+        if not improving:
+            break
+        best = max(c[0] for c in improving)
+        _, _, (kind, ga, ia, gb, ib) = min(
+            (c for c in improving if c[0] >= best - tol), key=lambda c: c[1]
+        )
+        trial = [list(g) for g in groups]
+        if kind == "swap":
+            trial[ga][ia], trial[gb][ib] = trial[gb][ib], trial[ga][ia]
+        else:
+            trial[gb].append(trial[ga].pop(ia))
+        new_value = objective_value(Grouping(trial), inst.dist)
+        if new_value <= value:
+            break
+        value = new_value
+        groups = [sorted(g) for g in trial]
+    return Grouping(groups)
 
 
 def test_splitmix_reference_values():
@@ -97,6 +181,45 @@ def test_local_search_monotone_on_signed_distances(case):
     assert objective_value(result, inst.dist) >= objective_value(start, inst.dist)
 
 
+@st.composite
+def _starts(draw):
+    n = draw(st.integers(2, 12))
+    G = draw(st.integers(1, n))
+    a = draw(st.integers(1, n // G))
+    b = draw(st.integers(-(-n // G), n))
+    low = draw(st.sampled_from([0.0, -100.0]))
+    inst = random_instance(draw(st.integers(0, 2**32 - 1)), n, G, a, b, low=low)
+    if draw(st.booleans()):
+        # integral distances make exactly tied steps common
+        inst = Instance(DistanceMatrix(n, np.round(inst.dist.condensed())), G, a, b)
+    return inst, greedy_construct(inst, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_starts())
+def test_local_search_matches_reference(case):
+    inst, start = case
+    assert local_search(inst, start) == reference_local_search(inst, start)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_starts())
+def test_local_search_returns_local_optimum(case):
+    inst, start = case
+    result = local_search(inst, start)
+    groups = [list(g) for g in result.groups]
+    assert all(delta <= _tol(inst) for delta, _, _ in _candidates(inst, groups))
+
+
+def test_local_search_matches_reference_large():
+    text = gen_instance(60, 6, 10, 10, kind="uniformkd:2", seed=3)
+    inst = parse_instance(text).instance
+    start = greedy_construct(inst, seed=derive_seed(0, 1))
+    result = local_search(inst, start)
+    assert result == reference_local_search(inst, start)
+    assert result != start
+
+
 def test_local_search_rejects_infeasible_start(worked_instance):
     with pytest.raises(ValueError, match="infeasible"):
         local_search(worked_instance, Grouping([(1, 2, 3), (4, 5, 6)]))
@@ -116,6 +239,8 @@ def test_multistart_reproducible_and_bounded(worked_instance):
     assert r1.value <= 9.0 + TOL
     assert r1.restarts_used == 20
     assert 1 <= r1.best_restart_index <= 20
+    assert len(r1.restart_values) == 20
+    assert max(r1.restart_values) == r1.value
     assert validate_grouping(r1.grouping, worked_instance).feasible
 
 
