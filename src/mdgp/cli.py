@@ -220,11 +220,14 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
             for kind, tok in zip(schema, values):
                 if kind == "num":
                     try:
-                        parsed_row.append(float(tok))
+                        value = float(tok)
                     except ValueError:
                         raise ParseError(
                             f"malformed numeric value {tok!r}", row_lineno
                         ) from None
+                    if not math.isfinite(value):
+                        raise ParseError("non-finite numeric value", row_lineno)
+                    parsed_row.append(value)
                 else:
                     parsed_row.append(tok)
             rows.append(tuple(parsed_row))
@@ -244,21 +247,21 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
 def _parse_kind(kind: str) -> tuple[int, int]:
     if kind == "uniform1d":
         return 1, 0
-    m = re.fullmatch(r"uniformkd:(\d+)", kind)
-    if m:
-        k = int(m.group(1))
-        if k < 1:
+    if m := re.fullmatch(r"uniformkd:(\d+)", kind):
+        k_num, k_cat = int(m.group(1)), 0
+        if k_num < 1:
             raise ValueError("uniformkd needs at least one column")
-        return k, 0
-    m = re.fullmatch(r"mixed:(\d+),(\d+)", kind)
-    if m:
+    elif m := re.fullmatch(r"mixed:(\d+),(\d+)", kind):
         k_num, k_cat = int(m.group(1)), int(m.group(2))
         if k_num + k_cat < 1:
             raise ValueError("mixed needs at least one column")
-        return k_num, k_cat
-    raise ValueError(
-        f"unknown kind {kind!r}; use uniform1d, uniformkd:K or mixed:KNUM,KCAT"
-    )
+    else:
+        raise ValueError(
+            f"unknown kind {kind!r}; use uniform1d, uniformkd:K or mixed:KNUM,KCAT"
+        )
+    if max(k_num, k_cat) > sys.maxsize:
+        raise ValueError(f"column count in {kind!r} is too large")
+    return k_num, k_cat
 
 
 def gen_instance(n: int, g: int, a: int, b: int, kind: str = "uniform1d", seed: int = 0) -> str:

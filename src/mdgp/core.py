@@ -11,6 +11,7 @@ usual notation for this problem family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -71,6 +72,14 @@ class AttributeTable:
         return np.array([[row[i] for i in cols] for row in self.rows], dtype=float)
 
 
+@lru_cache(maxsize=8)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 0-based ``(i, j)`` of every pair i < j, in condensed order."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 class DistanceMatrix:
     """Symmetric pairwise distances with dense upper-triangular storage.
 
@@ -113,8 +122,7 @@ class DistanceMatrix:
         if np.any(np.diag(m) != 0.0):
             raise ValueError("diagonal must be zero")
         n = m.shape[0]
-        iu = np.triu_indices(n, k=1)
-        return cls(n, m[iu])
+        return cls(n, m[_pair_index(n)])
 
     def _index(self, i: int, j: int) -> int:
         # 1-based i < j to condensed offset
@@ -138,9 +146,17 @@ class DistanceMatrix:
     def as_square(self) -> np.ndarray:
         """Full symmetric (n, n) array."""
         m = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n, k=1)
-        m[iu] = self._condensed
+        m[_pair_index(self.n)] = self._condensed
         return m + m.T
+
+    def same_label_sum(self, labels) -> float:
+        """Sum over the pairs whose labels match (``labels[e]`` labels element
+        e + 1), in condensed pair order: bit-identical under any relabelling."""
+        labels = np.asarray(labels)
+        if labels.shape != (self.n,):
+            raise ValueError(f"expected {self.n} labels, got shape {labels.shape}")
+        iu, ju = _pair_index(self.n)
+        return float(self._condensed[labels[iu] == labels[ju]].sum())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistanceMatrix):
@@ -207,6 +223,15 @@ class Grouping:
             raise ValueError(f"groups must partition 1..{n} exactly")
         object.__setattr__(self, "groups", groups)
 
+    @classmethod
+    def from_labels(cls, labels) -> "Grouping":
+        """Element e + 1 joins the group labelled ``labels[e]``; groups come in
+        ascending label order, and labels need not be contiguous."""
+        members: dict = {}
+        for e, lab in enumerate(labels, 1):
+            members.setdefault(lab, []).append(e)
+        return cls(members[lab] for lab in sorted(members))
+
     @property
     def n(self) -> int:
         return sum(len(g) for g in self.groups)
@@ -256,7 +281,7 @@ def distance_matrix(table: AttributeTable, metric: str) -> DistanceMatrix:
     # Gower: mean per-attribute contribution over all K columns.
     pairs = n * (n - 1) // 2
     total = np.zeros(pairs)
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _pair_index(n)
     for col, kind in enumerate(table.schema):
         if kind == "num":
             v = np.array([row[col] for row in table.rows], dtype=float)
@@ -283,9 +308,7 @@ def objective_value(grouping: Grouping, dist: DistanceMatrix) -> float:
     for g, members in enumerate(grouping.groups):
         for e in members:
             labels[e - 1] = g
-    iu, ju = np.triu_indices(dist.n, k=1)
-    same = labels[iu] == labels[ju]
-    return float(dist.condensed()[same].sum())
+    return dist.same_label_sum(labels)
 
 
 def validate_grouping(grouping: Grouping, instance: Instance) -> FeasibilityReport:

@@ -97,18 +97,16 @@ def decode_partition(x: Mapping[tuple[int, int], int], n: int) -> Grouping:
         if x[(i, j)] == 1:
             dsu.union(i, j)
 
-    blocks: dict[int, list[int]] = {}
-    for e in range(1, n + 1):
-        blocks.setdefault(dsu.find(e), []).append(e)
+    # a root is its component's smallest element, so the groups come out
+    # ordered by smallest member
+    grouping = Grouping.from_labels([dsu.find(e) for e in range(1, n + 1)])
 
     # components must be cliques, else the assignment was not transitive
-    for members in blocks.values():
+    for members in grouping.groups:
         for i, j in combinations(members, 2):
             if x[(i, j)] != 1:
                 raise TransitivityError(_first_bad_triple(x, n))
-
-    ordered = sorted(blocks.values(), key=lambda g: g[0])
-    return Grouping(ordered)
+    return grouping
 
 
 def build_report(grouping: Grouping, y: Mapping[int, int] | None) -> DecodeReport:

@@ -75,10 +75,6 @@ def greedy_construct(instance: Instance, seed: int) -> Grouping:
     return Grouping(groups)
 
 
-def _grouping(label: np.ndarray, G: int) -> Grouping:
-    return Grouping([(np.flatnonzero(label == g) + 1).tolist() for g in range(G)])
-
-
 def local_search(instance: Instance, start: Grouping) -> Grouping:
     """Steepest ascent over swap and move neighborhoods until no step improves.
 
@@ -116,7 +112,7 @@ def local_search(instance: Instance, start: Grouping) -> Grouping:
         W[:, label[w]] += d[:, w]
     rows = np.arange(n)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    value = objective_value(start, instance.dist)
+    value = instance.dist.same_label_sum(label)
 
     while True:
         own = W[rows, label]
@@ -139,7 +135,7 @@ def local_search(instance: Instance, start: Grouping) -> Grouping:
         else:
             u, g = divmod(int(np.flatnonzero((move >= best - tol) & (move > tol))[0]), G)
             new[u] = g
-        new_value = objective_value(_grouping(new, G), instance.dist)
+        new_value = instance.dist.same_label_sum(new)
         if new_value <= value:
             # float-drift guard: never return anything below the start value
             break
@@ -155,7 +151,7 @@ def local_search(instance: Instance, start: Grouping) -> Grouping:
             size[g] += 1
         value, label = new_value, new
 
-    return _grouping(label, G)
+    return Grouping.from_labels(label)
 
 
 def multistart(instance: Instance, restarts: int, seed: int) -> HeuristicResult:

@@ -22,9 +22,10 @@ variables ``y_2 .. y_N``; ``objective`` holds one coefficient per pair
 column. Rows (``constraints``) are in CSR form: row r has the terms
 ``coefs[k] * column indices[k]`` for k in ``indptr[r]:indptr[r+1]`` and reads
 ``lo[r] <= row <= hi[r]``, with -inf/+inf on the open side of a one-sided
-row (the arrays ``scipy.optimize.milp`` takes). The terms of a row keep
-construction order, not column order, because the LP text prints them in
-that order: ``tri1_i_j_k`` is ``x_ij + x_jk - x_ik``.
+row (the arrays ``scipy.optimize.milp`` takes). Every row coefficient is +1
+or -1, so the LP text writes a row term as its sign and column name. The
+terms of a row keep construction order, not column order, because the LP
+text prints them in that order: ``tri1_i_j_k`` is ``x_ij + x_jk - x_ik``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Grouping, Instance
+from .core import Grouping, Instance, _pair_index
 
 VARIANTS = ("equal", "unequal", "degree_only")
 
@@ -103,7 +104,7 @@ class _Rows:
         self.n = n
         self.npairs = n * (n - 1) // 2
         self.col = np.zeros((n, n), dtype=np.intp)
-        iu, ju = np.triu_indices(n, k=1)
+        iu, ju = _pair_index(n)
         self.col[iu, ju] = self.col[ju, iu] = np.arange(self.npairs)
         self.names: list[str] = []
         self.parts: list[tuple[np.ndarray, ...]] = []
@@ -199,7 +200,7 @@ def build_unequal(instance: Instance) -> IlpModel:
     rows = _rows_with_triangles(n)
     _add_degree_bounds(rows, instance.a, instance.b)
     P = rows.npairs  # column of y_j is P + j - 2
-    _, ju = np.triu_indices(n, k=1)
+    _, ju = _pair_index(n)
     rows.add(
         [f"lex_{i}_{j}" for i, j in _pairs(n)],
         np.stack([np.arange(P), P + ju - 1], axis=1), hi=1,
@@ -258,24 +259,18 @@ def check_assignment(model: IlpModel, asg: PairAssignment) -> CheckReport:
     )
 
 
-def _coeff_str(c: float) -> str:
-    # shortest exact decimal so re-parsing reproduces the float bit-for-bit
-    return repr(float(c))
-
-
-def _render_terms(coeffs, names, float_coeffs: bool) -> str:
-    parts = []
-    for idx, (coeff, name) in enumerate(zip(coeffs, names)):
-        mag = abs(coeff)
-        if float_coeffs:
-            body = f"{_coeff_str(mag)} {name}"
-        else:
-            body = name if mag == 1 else f"{mag} {name}"
-        if idx == 0:
-            parts.append(body if coeff >= 0 else f"- {body}")
-        else:
-            parts.append(f"+ {body}" if coeff >= 0 else f"- {body}")
-    return " ".join(parts)
+def _render_lines(coefs, bodies, indices, indptr):
+    """Yield line r: terms ``k`` in ``indptr[r]:indptr[r+1]``, each ``"+ body"``
+    or ``"- body"`` of column ``indices[k]`` by the sign of ``coefs[k]``,
+    without a leading ``"+ "``. Each column's body is signed once."""
+    bodies = np.asarray(bodies, dtype=object)
+    signed = ("+ " + bodies)[indices]
+    neg = np.asarray(coefs) < 0
+    signed[neg] = ("- " + bodies)[indices[neg]]
+    signed = signed.tolist()
+    for s, e in zip(indptr[:-1], indptr[1:]):
+        line = " ".join(signed[s:e])
+        yield line[2:] if line.startswith("+ ") else line
 
 
 def export_lp(model: IlpModel) -> str:
@@ -287,15 +282,13 @@ def export_lp(model: IlpModel) -> str:
     """
     names = model.variables
     lines = [f"\\ {model.variant} variant, n={model.n}", "Maximize"]
-    obj = model.objective.tolist()  # the pair columns come first
-    lines.append(f" obj: {_render_terms(obj, names[: len(obj)], float_coeffs=True)}")
-    lines.append("Subject To")
-    indptr, coefs = model.indptr.tolist(), model.coefs.tolist()
-    term_names = np.array(names, dtype=object)[model.indices].tolist()
-    bounds = zip(model.constraints, model.lo.tolist(), model.hi.tolist())
-    for r, (row, lo, hi) in enumerate(bounds):
-        s, e = indptr[r], indptr[r + 1]
-        terms = _render_terms(coefs[s:e], term_names[s:e], float_coeffs=False)
+    # the pair columns come first; repr is the shortest exact decimal
+    obj = model.objective.tolist()
+    bodies = [f"{abs(c)!r} {name}" for c, name in zip(obj, names)]
+    (objective,) = _render_lines(obj, bodies, np.arange(len(obj)), [0, len(obj)])
+    lines += [f" obj: {objective}", "Subject To"]
+    rows = _render_lines(model.coefs, names, model.indices, model.indptr.tolist())
+    for row, terms, lo, hi in zip(model.constraints, rows, model.lo.tolist(), model.hi.tolist()):
         sense, rhs = ("=", lo) if lo == hi else ("<=", hi) if lo == -np.inf else (">=", lo)
         lines.append(f" {row}: {terms} {sense} {int(rhs)}")
     lines.append("Binaries")

@@ -123,10 +123,7 @@ def iter_set_partitions(n: int):
 
     def rec(t, k):
         if t == n:
-            groups: list[list[int]] = [[] for _ in range(k)]
-            for e in range(n):
-                groups[labels[e]].append(e + 1)
-            yield Grouping(groups)
+            yield Grouping.from_labels(labels)
             return
         for g in range(k):
             labels[t] = g
@@ -149,10 +146,7 @@ def iter_feasible_partitions(instance: Instance):
 
     def rec(t):
         if t == n:
-            groups: list[list[int]] = [[] for _ in range(len(sizes))]
-            for e in range(n):
-                groups[labels[e]].append(e + 1)
-            yield Grouping(groups)
+            yield Grouping.from_labels(labels)
             return
         remaining = n - t - 1
         k = len(sizes)
@@ -282,15 +276,12 @@ def upper_bound(state: SearchState) -> float:
 def partial_value(state: SearchState) -> float:
     """Objective accumulated by the assigned prefix of a search state.
 
-    Summation uses the same fixed pair order (and numpy reduction) as
-    :func:`objective_value`.
+    Each unassigned element gets a label of its own, so the sum covers the
+    same pairs, in the same order, as :func:`objective_value`.
     """
-    n = state.instance.n
-    lab = np.full(n, -1, dtype=np.int64)
+    lab = -1 - np.arange(state.instance.n)
     lab[: state.n_assigned] = state.labels
-    iu, ju = np.triu_indices(n, k=1)
-    same = (lab[iu] >= 0) & (lab[iu] == lab[ju])
-    return float(state.instance.dist.condensed()[same].sum())
+    return state.instance.dist.same_label_sum(lab)
 
 
 def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalResult:
@@ -330,13 +321,9 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
         nodes += 1
         t = len(labels0)
         if t == n:
-            groups: list[list[int]] = [[] for _ in sizes]
-            for e, g in enumerate(labels0):
-                groups[g].append(e + 1)
-            grouping = Grouping(groups)
-            value = objective_value(grouping, instance.dist)
+            value = instance.dist.same_label_sum(labels0)
             if value > best_value:
-                best_value, best_grouping = value, grouping
+                best_value, best_grouping = value, Grouping.from_labels(labels0)
             return
 
         remaining = n - t - 1

@@ -340,6 +340,17 @@ def test_cmd_gen_bad_bounds(capsys):
     assert "invalid bounds" in capsys.readouterr().err
 
 
+def test_cmd_gen_column_count_too_large(capsys):
+    # a count that does not fit an index fails before anything is allocated
+    for kind in ("uniformkd:99999999999999999999", "mixed:1,99999999999999999999"):
+        code = main(["gen", "--n", "4", "--g", "2", "--a", "2", "--b", "2",
+                     "--kind", kind, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "too large" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cmd_solve_missing_file(capsys):
     code = main(["solve", "--input", "/nonexistent/file.txt"])
     assert code == 2
@@ -385,7 +396,10 @@ def test_cmd_overflowing_distances_rejected(command, tmp_path, capsys):
     # an overflowing sum belongs to no single row: reported at the DIST line
     ("4 2 2 2\n\nDIST\n1e308 1e308 1e308\n1e308 1e308\n1e308\n",
      "error: line 3: distances too large: their absolute sum overflows"),
-], ids=["inf-row", "nan-row", "overflow"])
+    # so is a non-finite ATTR value, not at the header
+    ("3 1 3 3\nATTR 1\nnum\nnan\n1\n2\n", "error: line 4: non-finite numeric value"),
+    ("3 1 3 3\nATTR 2\nnum cat\n1 x\n2 y\n-inf z\n", "error: line 6: non-finite numeric value"),
+], ids=["inf-row", "nan-row", "overflow", "attr-nan", "attr-inf"])
 def test_cmd_dist_errors_report_their_line(text, message, tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(text)

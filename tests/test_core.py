@@ -13,6 +13,7 @@ from mdgp import (
     SchemaError,
     canonicalize,
     distance_matrix,
+    iter_set_partitions,
     objective_value,
     validate_grouping,
 )
@@ -175,6 +176,43 @@ def test_objective_matches_indicator_form(grouping, seed):
     assert objective_value(grouping, dist) == pytest.approx(
         _iqp_objective(grouping, dist), abs=TOL
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(groupings(), st.integers(0, 10_000))
+def test_same_label_sum_equals_objective_on_signed_distances(grouping, seed):
+    n = grouping.n
+    rng = np.random.default_rng(seed)
+    dist = DistanceMatrix(n, rng.uniform(-100, 100, size=n * (n - 1) // 2))
+    labels = [0] * n
+    for g, members in enumerate(grouping.groups):
+        for e in members:
+            labels[e - 1] = g
+    assert dist.same_label_sum(labels) == objective_value(grouping, dist)
+    # any relabelling of the same partition gives the same bits
+    assert dist.same_label_sum([7 - 3 * lab for lab in labels]) == objective_value(grouping, dist)
+
+
+def test_grouping_from_labels_round_trips_every_partition():
+    for n in range(1, 7):
+        for g in iter_set_partitions(n):
+            labels = [0] * n
+            for k, members in enumerate(g.groups):
+                for e in members:
+                    labels[e - 1] = k
+            assert Grouping.from_labels(labels) == g
+
+
+def test_grouping_from_labels_orders_groups_by_label():
+    assert Grouping.from_labels([5, -2, 5, 40, -2]).groups == ((2, 5), (1, 3), (4,))
+    assert Grouping.from_labels(np.array([3, 1, 3, 0])).groups == ((4,), (2,), (1, 3))
+
+
+def test_same_label_sum_rejects_a_wrong_label_count():
+    d = DistanceMatrix(3, [1.0, 2.0, 3.0])
+    for labels in ([0, 0], [0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="expected 3 labels"):
+            d.same_label_sum(labels)
 
 
 def test_objective_rejects_size_mismatch(worked_instance):

@@ -244,6 +244,8 @@ def test_rows_never_repeat_a_column():
         for variant, (G, a, b) in shapes.items():
             m = build_model(random_instance(n, n, G, a, b), variant)
             assert len(m.indptr) == len(m.constraints) + 1
+            # export_lp writes a row term as its sign and column name
+            assert set(np.unique(m.coefs)) <= {-1, 1}
             for r, name in enumerate(m.constraints):
                 cols = m.indices[m.indptr[r]:m.indptr[r + 1]].tolist()
                 assert len(cols) == len(set(cols)), f"{variant} n={n}: {name} repeats a column"

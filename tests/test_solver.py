@@ -130,6 +130,24 @@ def test_bound_along_optimal_prefixes():
             assert partial_value(state) + upper_bound(state) + TOL >= opt.value
 
 
+def test_partial_value_matches_pair_sums():
+    for low in (0.0, -100.0):
+        inst = random_instance(31, 9, 3, 2, 4, low=low)
+        best = solve_bnb(inst).grouping
+        labels = [0] * inst.n
+        for g, members in enumerate(best.groups, 1):
+            for e in members:
+                labels[e - 1] = g
+        # the full state sums the same pairs in the same order as the objective
+        assert partial_value(SearchState(inst, labels)) == objective_value(best, inst.dist)
+        for t in range(inst.n):
+            expected = sum(
+                inst.dist.lookup(i + 1, j + 1)
+                for i in range(t) for j in range(i + 1, t) if labels[i] == labels[j]
+            )
+            assert partial_value(SearchState(inst, labels[:t])) == pytest.approx(expected, abs=TOL)
+
+
 def test_search_state_validation(worked_instance):
     with pytest.raises(ValueError, match="symmetry"):
         SearchState(worked_instance, (1, 3))  # label 3 opens out of order
