@@ -36,7 +36,14 @@ from .core import (
     objective_value,
     validate_grouping,
 )
-from .model import build_model, build_unequal, check_assignment, encode_grouping, export_lp
+from .model import (
+    _equal_size,
+    build_model,
+    build_unequal,
+    check_assignment,
+    encode_grouping,
+    export_lp,
+)
 from .heuristic import multistart
 from .rng import SplitMix64
 from .solver import (
@@ -146,6 +153,8 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
         n, g, a, b = (int(t) for t in tokens)
     except ValueError:
         raise ParseError("header must be 4 integers: N G a b", lineno) from None
+    if n < 1:
+        raise ParseError("element count must be >= 1", lineno)
 
     if len(lines) < 2:
         raise ParseError("missing DIST or ATTR section", lineno)
@@ -386,104 +395,63 @@ def _print_report(report: RunReport, as_json: bool):
         print(f"gap vs exact optimum: {report.gap:g}")
 
 
-def _load_or_fail(args) -> LoadedInstance | None:
-    try:
-        loaded = parse_instance(Path(args.input).read_text(), metric=args.metric)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _load(args) -> Instance:
+    loaded = parse_instance(Path(args.input).read_text(), metric=args.metric)
     for w in loaded.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    return loaded
+    return loaded.instance
+
+
+def _instance_dict(inst: Instance) -> dict:
+    return {"n": inst.n, "G": inst.G, "a": inst.a, "b": inst.b}
+
+
+def _oracle_gap(inst: Instance, value: float) -> float | None:
+    """Exact optimum minus `value`; None when n is past the oracle's cap."""
+    if inst.n > DEFAULT_ENUMERATION_CAP:
+        return None
+    return solve_bruteforce(inst).value - value
 
 
 def _cmd_solve(args) -> int:
-    loaded = _load_or_fail(args)
-    if loaded is None:
-        return 2
-    inst = loaded.instance
+    inst = _load(args)
     variant = args.model.replace("-", "_")
-    explicit_solver = args.solver is not None
-    solver = args.solver or "bnb"
 
     if args.export_lp:
-        try:
-            model = build_model(inst, variant)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            Path(args.export_lp).write_text(export_lp(model))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not explicit_solver:
+        Path(args.export_lp).write_text(export_lp(build_model(inst, variant)))
+        if args.solver is None:
             if args.json:
-                print(
-                    json.dumps(
-                        {
-                            "instance": {"n": inst.n, "G": inst.G, "a": inst.a, "b": inst.b},
-                            "model": args.model,
-                            "exported_lp": args.export_lp,
-                        },
-                        indent=2,
-                    )
-                )
+                exported = {"instance": _instance_dict(inst), "model": args.model,
+                            "exported_lp": args.export_lp}
+                print(json.dumps(exported, indent=2))
             else:
                 print(f"exported {args.model} model ({inst.n} elements) to {args.export_lp}")
             return 0
 
     if variant == "degree_only":
-        print(
-            "error: the degree-only model has no partition semantics to solve "
+        raise ValueError(
+            "the degree-only model has no partition semantics to solve "
             "(it ignores the group count); run `mdgp demonstrate` to see its "
             "relaxed optimum on the worked example, or use --export-lp without "
-            "--solver to export it",
-            file=sys.stderr,
+            "--solver to export it"
         )
-        return 2
     if variant == "equal":
-        if inst.n % inst.G != 0:
-            print(
-                f"error: equal-size formulation inapplicable: N={inst.n} is not "
-                f"divisible by G={inst.G}",
-                file=sys.stderr,
-            )
-            return 2
-        size = inst.n // inst.G
+        size = _equal_size(inst)
         inst = Instance(inst.dist, inst.G, size, size)
 
+    solver = args.solver or "bnb"
     t0 = time.perf_counter()
-    gap = None
-    try:
-        if solver == "bruteforce":
-            result = solve_bruteforce(inst)
-            value, groups, proven, nodes = (
-                result.value,
-                result.grouping.groups,
-                True,
-                result.nodes_explored,
-            )
-        elif solver == "bnb":
-            opts = SolveOptions(time_budget=args.time_limit)
-            result = solve_bnb(inst, opts)
-            value, groups, proven, nodes = (
-                result.value,
-                result.grouping.groups,
-                result.proven,
-                result.nodes_explored,
-            )
-        else:  # heuristic
-            if args.seed is None:
-                print("error: --solver heuristic requires --seed", file=sys.stderr)
-                return 2
-            hres = multistart(inst, restarts=args.restarts, seed=args.seed)
-            value, groups, proven, nodes = hres.value, hres.grouping.groups, False, 0
-            if inst.n <= DEFAULT_ENUMERATION_CAP:
-                gap = solve_bruteforce(inst).value - value
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if solver == "heuristic":
+        if args.seed is None:
+            raise ValueError("--solver heuristic requires --seed")
+        found = multistart(inst, restarts=args.restarts, seed=args.seed)
+        proven, nodes, gap = False, 0, _oracle_gap(inst, found.value)
+    else:
+        if solver == "bnb":
+            found = solve_bnb(inst, SolveOptions(time_budget=args.time_limit))
+        else:
+            found = solve_bruteforce(inst)
+        proven, nodes, gap = found.proven, found.nodes_explored, None
 
     report = RunReport(
         n=inst.n,
@@ -491,17 +459,15 @@ def _cmd_solve(args) -> int:
         a=inst.a,
         b=inst.b,
         solver=solver,
-        value=value,
-        groups=groups,
+        value=found.value,
+        groups=found.grouping.groups,
         proven=proven,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
         nodes=nodes,
         gap=gap,
     )
     _print_report(report, args.json)
-    if solver == "bnb" and not proven:
-        return 3
-    return 0
+    return 3 if solver == "bnb" and not proven else 0
 
 
 def _cmd_demonstrate(args) -> int:
@@ -520,15 +486,8 @@ def _cmd_demonstrate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    loaded = _load_or_fail(args)
-    if loaded is None:
-        return 2
-    inst = loaded.instance
-    try:
-        raw_groups = parse_solution(Path(args.solution).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = _load(args)
+    raw_groups = parse_solution(Path(args.solution).read_text())
 
     seen: set[int] = set()
     for g in raw_groups:
@@ -551,9 +510,9 @@ def _cmd_verify(args) -> int:
     feas = validate_grouping(grouping, inst)
     gap = None
     if args.against_oracle:
-        if inst.n <= DEFAULT_ENUMERATION_CAP:
-            gap = solve_bruteforce(inst).value - value
-        else:
+        if not feas.feasible:
+            print("note: --against-oracle skipped (solution is infeasible)", file=sys.stderr)
+        elif (gap := _oracle_gap(inst, value)) is None:
             print(
                 f"note: --against-oracle skipped (n={inst.n} exceeds the "
                 f"enumeration cap {DEFAULT_ENUMERATION_CAP})",
@@ -563,7 +522,7 @@ def _cmd_verify(args) -> int:
 
     if args.json:
         out = {
-            "instance": {"n": inst.n, "G": inst.G, "a": inst.a, "b": inst.b},
+            "instance": _instance_dict(inst),
             "solver": "verify",
             "value": value,
             "groups": [list(g) for g in grouping.groups],
@@ -587,17 +546,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        text = gen_instance(args.n, args.g, args.a, args.b, kind=args.kind, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text = gen_instance(args.n, args.g, args.a, args.b, kind=args.kind, seed=args.seed)
     if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
@@ -627,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--export-lp", metavar="PATH", default=None,
                          help="write the ILP in LP format (without --solver: export only)")
     p_solve.add_argument("--model", choices=CLI_MODELS, default="unequal",
-                         help="ILP variant for --export-lp (default: unequal)")
+                         help="ILP variant for --export-lp; equal also solves with groups "
+                         "of size N/G, degree-only is export-only (default: unequal)")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_demo = sub.add_parser(
@@ -663,7 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

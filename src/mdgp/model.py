@@ -168,14 +168,19 @@ def _add_degree_bounds(rows: _Rows, a: int, b: int) -> None:
     rows.add([f"dmax_{i}" for i in elements], rows.degree(), hi=b - 1)
 
 
-def build_equal(instance: Instance) -> IlpModel:
-    """Equal-size variant: transitivity rows plus degree(i) = N/G - 1."""
+def _equal_size(instance: Instance) -> int:
+    """The group size N/G of the equal-size variant; ValueError unless G divides N."""
     n, G = instance.n, instance.G
     if n % G != 0:
         raise ValueError(
             f"equal-size formulation inapplicable: N={n} is not divisible by G={G}"
         )
-    size = n // G
+    return n // G
+
+
+def build_equal(instance: Instance) -> IlpModel:
+    """Equal-size variant: transitivity rows plus degree(i) = N/G - 1."""
+    n, size = instance.n, _equal_size(instance)
     rows = _rows_with_triangles(n)
     rows.add([f"deq_{i}" for i in range(1, n + 1)], rows.degree(), lo=size - 1, hi=size - 1)
     return rows.model(instance, "equal")

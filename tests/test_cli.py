@@ -1,4 +1,9 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -295,6 +300,15 @@ def test_cmd_verify_infeasible_still_reports_value(worked_file, tmp_path, capsys
     assert code == 2
     assert "value: 16" in out
     assert "feasible: no" in out
+    # the optimum ranges over feasible partitions only: no gap to report
+    code = main(["verify", "--input", str(worked_file), "--solution", str(sol),
+                 "--against-oracle", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    report = json.loads(captured.out)
+    assert report["value"] == 16.0 and report["feasible"] is False
+    assert "gap" not in report
+    assert captured.err == "note: --against-oracle skipped (solution is infeasible)\n"
 
 
 def test_cmd_verify_duplicate_element(worked_file, tmp_path, capsys):
@@ -399,7 +413,10 @@ def test_cmd_overflowing_distances_rejected(command, tmp_path, capsys):
     # so is a non-finite ATTR value, not at the header
     ("3 1 3 3\nATTR 1\nnum\nnan\n1\n2\n", "error: line 4: non-finite numeric value"),
     ("3 1 3 3\nATTR 2\nnum cat\n1 x\n2 y\n-inf z\n", "error: line 6: non-finite numeric value"),
-], ids=["inf-row", "nan-row", "overflow", "attr-nan", "attr-inf"])
+    # an empty instance is refused at its header, before either body is read
+    ("0 1 1 1\nDIST\n", "error: line 1: element count must be >= 1"),
+    ("0 1 1 1\nATTR 1\nnum\n", "error: line 1: element count must be >= 1"),
+], ids=["inf-row", "nan-row", "overflow", "attr-nan", "attr-inf", "dist-n0", "attr-n0"])
 def test_cmd_dist_errors_report_their_line(text, message, tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -428,3 +445,137 @@ def test_cmd_solve_bad_numeric_flags(worked_file, capsys):
     code = main(["solve", "--input", str(worked_file), "--time-limit", "nan"])
     assert code == 2
     assert "time_budget" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exact reports: stdout, stderr and exit code, elapsed times masked
+# ---------------------------------------------------------------------------
+
+N13_FILE = "13 3 4 5\nDIST\n" + "".join(
+    " ".join(str(i * j % 7 + 1) for j in range(i + 1, 14)) + "\n" for i in range(1, 13)
+)
+
+
+def _json_text(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
+
+
+def _mask_elapsed(text: str) -> str:
+    text = re.sub(r"elapsed: [0-9.]+ ms", "elapsed: 0.0 ms", text)
+    return re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0.0', text)
+
+
+def _worked_report(a: int, b: int, nodes: int) -> dict:
+    return {
+        "instance": {"n": 6, "G": 3, "a": a, "b": b},
+        "solver": "bnb",
+        "value": 9.0,
+        "groups": [[1, 4], [2, 5], [3, 6]],
+        "proven": True,
+        "elapsed_ms": 0.0,
+        "nodes": nodes,
+    }
+
+
+EXACT_CASES = {
+    "solve-bnb-text": (
+        ["solve", "--input", "{worked}", "--solver", "bnb"],
+        0,
+        "instance: n=6 G=3 a=2 b=3\n"
+        "solver: bnb\n"
+        "value: 9\n"
+        "groups: {1,4} {2,5} {3,6}\n"
+        "proven: yes\n"
+        "nodes: 30\n"
+        "elapsed: 0.0 ms\n",
+        "",
+    ),
+    "solve-model-equal": (
+        ["solve", "--input", "{worked}", "--model", "equal", "--json"],
+        0,
+        _json_text(_worked_report(2, 2, nodes=10)),
+        "",
+    ),
+    "export-and-solve": (
+        ["solve", "--input", "{worked}", "--export-lp", "{lp}", "--solver", "bnb", "--json"],
+        0,
+        _json_text(_worked_report(2, 3, nodes=30)),
+        "",
+    ),
+    "export-only-json": (
+        ["solve", "--input", "{worked}", "--export-lp", "{lp}", "--json"],
+        0,
+        _json_text(
+            {"instance": {"n": 6, "G": 3, "a": 2, "b": 3}, "model": "unequal",
+             "exported_lp": "{lp}"}
+        ),
+        "",
+    ),
+    "verify-oracle-past-cap": (
+        ["verify", "--input", "{n13}", "--solution", "{sol13}", "--against-oracle"],
+        0,
+        "instance: n=13 G=3 a=4 b=5\n"
+        "solution: {1,2,3,4} {5,6,7,8} {9,10,11,12,13}\n"
+        "value: 92\n"
+        "feasible: yes\n",
+        "note: --against-oracle skipped (n=13 exceeds the enumeration cap 12)\n",
+    ),
+    "heuristic-past-cap-json": (
+        ["solve", "--input", "{n13}", "--solver", "heuristic", "--seed", "1",
+         "--restarts", "3", "--json"],
+        0,
+        _json_text({
+            "instance": {"n": 13, "G": 3, "a": 4, "b": 5},
+            "solver": "heuristic",
+            "value": 113.0,
+            "groups": [[2, 9, 10, 13], [1, 4, 5, 11, 12], [3, 6, 7, 8]],
+            "proven": False,
+            "elapsed_ms": 0.0,
+            "nodes": 0,
+        }),
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_CASES))
+def test_cmd_exact_output(name, tmp_path, capsys):
+    paths = {
+        "worked": tmp_path / "worked.txt",
+        "n13": tmp_path / "n13.txt",
+        "sol13": tmp_path / "sol13.txt",
+        "lp": tmp_path / "model.lp",
+    }
+    paths["worked"].write_text(WORKED_FILE)
+    paths["n13"].write_text(N13_FILE)
+    paths["sol13"].write_text("1 2 3 4\n5 6 7 8\n9 10 11 12 13\n")
+    fill = {key: str(path) for key, path in paths.items()}
+    argv, code, out, err = EXACT_CASES[name]
+    assert main([arg.format(**fill) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert _mask_elapsed(captured.out) == out.replace("{lp}", fill["lp"])
+    assert captured.err == err
+    assert paths["lp"].exists() == ("{lp}" in argv)
+
+
+# ---------------------------------------------------------------------------
+# the process exit code is the one `main` returns
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, code", [
+    (["demonstrate"], 0),
+    (["solve", "--input", "/nonexistent/file.txt"], 2),
+], ids=["demonstrate", "missing-input"])
+def test_cli_process_exit_code(argv, code):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdgp.cli", *argv],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr.startswith("error:")
+    else:
+        assert proc.stderr == ""
