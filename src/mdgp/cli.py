@@ -417,16 +417,15 @@ def _cmd_solve(args) -> int:
     inst = _load(args)
     variant = args.model.replace("-", "_")
 
-    if args.export_lp:
+    if args.export_lp and args.solver is None:
         Path(args.export_lp).write_text(export_lp(build_model(inst, variant)))
-        if args.solver is None:
-            if args.json:
-                exported = {"instance": _instance_dict(inst), "model": args.model,
-                            "exported_lp": args.export_lp}
-                print(json.dumps(exported, indent=2))
-            else:
-                print(f"exported {args.model} model ({inst.n} elements) to {args.export_lp}")
-            return 0
+        if args.json:
+            exported = {"instance": _instance_dict(inst), "model": args.model,
+                        "exported_lp": args.export_lp}
+            print(json.dumps(exported, indent=2))
+        else:
+            print(f"exported {args.model} model ({inst.n} elements) to {args.export_lp}")
+        return 0
 
     if variant == "degree_only":
         raise ValueError(
@@ -445,13 +444,18 @@ def _cmd_solve(args) -> int:
         if args.seed is None:
             raise ValueError("--solver heuristic requires --seed")
         found = multistart(inst, restarts=args.restarts, seed=args.seed)
+    elif solver == "bnb":
+        found = solve_bnb(inst, SolveOptions(time_budget=args.time_limit))
+    else:
+        found = solve_bruteforce(inst)
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    if solver == "heuristic":
         proven, nodes, gap = False, 0, _oracle_gap(inst, found.value)
     else:
-        if solver == "bnb":
-            found = solve_bnb(inst, SolveOptions(time_budget=args.time_limit))
-        else:
-            found = solve_bruteforce(inst)
         proven, nodes, gap = found.proven, found.nodes_explored, None
+    # only a request the solver accepted leaves an LP file behind
+    if args.export_lp:
+        Path(args.export_lp).write_text(export_lp(build_model(inst, variant)))
 
     report = RunReport(
         n=inst.n,
@@ -462,7 +466,7 @@ def _cmd_solve(args) -> int:
         value=found.value,
         groups=found.grouping.groups,
         proven=proven,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+        elapsed_ms=elapsed_ms,
         nodes=nodes,
         gap=gap,
     )

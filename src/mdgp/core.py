@@ -234,7 +234,7 @@ class Grouping:
 
     @property
     def n(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return sum(map(len, self.groups))
 
     @property
     def group_count(self) -> int:
@@ -243,6 +243,15 @@ class Grouping:
     def labels(self) -> dict[int, int]:
         """Element -> 1-based group label in stored order."""
         return {e: g for g, members in enumerate(self.groups, 1) for e in members}
+
+    def label_array(self) -> np.ndarray:
+        """Entry e is the 0-based stored group index of element e + 1: the
+        inverse of :meth:`from_labels`."""
+        labels = [0] * self.n
+        for g, members in enumerate(self.groups):
+            for e in members:
+                labels[e - 1] = g
+        return np.array(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -304,11 +313,7 @@ def objective_value(grouping: Grouping, dist: DistanceMatrix) -> float:
         raise ValueError(
             f"grouping covers {grouping.n} elements, distance matrix has {dist.n}"
         )
-    labels = np.empty(dist.n, dtype=np.int64)
-    for g, members in enumerate(grouping.groups):
-        for e in members:
-            labels[e - 1] = g
-    return dist.same_label_sum(labels)
+    return dist.same_label_sum(grouping.label_array())
 
 
 def validate_grouping(grouping: Grouping, instance: Instance) -> FeasibilityReport:

@@ -1,10 +1,11 @@
 """Reconstruct partitions from pair variables and audit the group count.
 
 A pair-variable assignment that satisfies the transitivity rows describes an
-equivalence relation; its classes are recovered here as the connected
-components of the x = 1 graph. A verification pass then confirms the
-components really are cliques, and failures are reported as the first triple
-(by lexicographic order) whose transitivity row is broken.
+equivalence relation. Decoding labels each element with the smallest member
+of {i} together with its x = 1 partners, which is its class's smallest
+member when x is transitive, and accepts exactly when re-encoding those
+labels gives x back. Failures are reported as the first triple (by
+lexicographic order) whose transitivity row is broken.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .core import Grouping, canonicalize
+import numpy as np
+
+from .core import Grouping, _pair_index, canonicalize
 
 
 class TransitivityError(ValueError):
@@ -54,22 +57,6 @@ class TheoremReport:
         )
 
 
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def _first_bad_triple(x: Mapping[tuple[int, int], int], n: int) -> tuple[int, int, int]:
     for i, j, k in combinations(range(1, n + 1), 3):
         e_ij, e_ik, e_jk = x[(i, j)], x[(i, k)], x[(j, k)]
@@ -79,34 +66,32 @@ def _first_bad_triple(x: Mapping[tuple[int, int], int], n: int) -> tuple[int, in
 
 
 def decode_partition(x: Mapping[tuple[int, int], int], n: int) -> Grouping:
-    """Blocks = connected components of the graph {(i, j) : x_ij = 1}.
+    """Blocks = classes of the equivalence relation {(i, j) : x_ij = 1}.
 
     Succeeds exactly when x satisfies all transitivity rows; otherwise raises
     :class:`TransitivityError` naming the lexicographically first bad triple.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    same = []
     for i, j in combinations(range(1, n + 1), 2):
         if (i, j) not in x:
             raise ValueError(f"pair value for ({i}, {j}) is missing")
-        if x[(i, j)] not in (0, 1):
+        value = x[(i, j)]
+        if value not in (0, 1):
             raise ValueError(f"x[{i},{j}] must be 0 or 1")
+        same.append(value == 1)
 
-    dsu = _DisjointSet(n)
-    for i, j in combinations(range(1, n + 1), 2):
-        if x[(i, j)] == 1:
-            dsu.union(i, j)
-
-    # a root is its component's smallest element, so the groups come out
-    # ordered by smallest member
-    grouping = Grouping.from_labels([dsu.find(e) for e in range(1, n + 1)])
-
-    # components must be cliques, else the assignment was not transitive
-    for members in grouping.groups:
-        for i, j in combinations(members, 2):
-            if x[(i, j)] != 1:
-                raise TransitivityError(_first_bad_triple(x, n))
-    return grouping
+    same = np.array(same, dtype=bool)
+    iu, ju = _pair_index(n)
+    linked = np.eye(n, dtype=bool)
+    linked[iu, ju] = linked[ju, iu] = same
+    # the first True of row i is the smallest member of {i} and its partners
+    labels = linked.argmax(axis=1)
+    if np.array_equal(labels[iu] == labels[ju], same):
+        # labels are smallest members, so the groups come out canonical
+        return Grouping.from_labels(labels)
+    raise TransitivityError(_first_bad_triple(x, n))
 
 
 def build_report(grouping: Grouping, y: Mapping[int, int] | None) -> DecodeReport:

@@ -101,9 +101,7 @@ def local_search(instance: Instance, start: Grouping) -> Grouping:
     d = instance.dist.as_square()
     n, G, a, b = instance.n, instance.G, instance.a, instance.b
     tol = 1e-9 * float(np.abs(d).max()) * b
-    label = np.empty(n, dtype=np.intp)
-    for g, members in enumerate(start.groups):
-        label[np.array(members) - 1] = g
+    label = start.label_array()
     size = np.bincount(label, minlength=G)
     # elementwise column sums, no matrix product: W is the same on every
     # platform and BLAS build

@@ -233,8 +233,9 @@ def encode_grouping(grouping: Grouping, variant: str = "unequal") -> PairAssignm
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     n = grouping.n
-    labels = grouping.labels()
-    x = {(i, j): int(labels[i] == labels[j]) for i, j in _pairs(n)}
+    labels = grouping.label_array()
+    iu, ju = _pair_index(n)
+    x = dict(zip(_pairs(n), (labels[iu] == labels[ju]).astype(int).tolist()))
     y = None
     if variant == "unequal":
         minima = {min(g) for g in grouping.groups}

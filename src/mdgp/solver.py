@@ -34,7 +34,7 @@ from operator import add
 
 import numpy as np
 
-from .core import Grouping, Instance, canonicalize, objective_value
+from .core import Grouping, Instance, canonicalize
 from .heuristic import multistart
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -107,31 +107,39 @@ class SearchState:
         return sizes
 
 
-def _completable(sizes, opened, G, a, b, remaining) -> bool:
-    # remaining elements must lift every group (open or not) to size >= a
-    # without overflowing any group past b
-    deficit = sum(a - s for s in sizes if s < a) + (G - opened) * a
-    capacity = sum(b - s for s in sizes) + (G - opened) * b
-    return deficit <= remaining <= capacity
+def _label_strings(n: int, G: int, a: int, b: int):
+    """Restricted-growth strings of 0-based labels for n elements, in
+    lexicographic order: at most G labels, each used at most b times, and
+    (when a >= 1) all G used at least a times.
+
+    Yields one list, rewritten in place between yields. Prunes with the
+    running deficit of :func:`solve_bnb`; capacity is implied by G*b >= n.
+    """
+    labels = [0] * n
+    sizes = [0] * G
+
+    def rec(t: int, k: int, deficit: int):
+        if t == n:
+            yield labels
+            return
+        for g in range(min(k + 1, G)):
+            child = deficit - 1 if sizes[g] < a else deficit
+            if sizes[g] >= b or child > n - t - 1:
+                continue
+            sizes[g] += 1
+            labels[t] = g
+            yield from rec(t + 1, k + (g == k), child)
+            sizes[g] -= 1
+
+    yield from rec(0, 0, G * a)
 
 
 def iter_set_partitions(n: int):
     """All partitions of {1..n} into any number of groups, canonical order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    labels = [0] * n
-
-    def rec(t, k):
-        if t == n:
-            yield Grouping.from_labels(labels)
-            return
-        for g in range(k):
-            labels[t] = g
-            yield from rec(t + 1, k)
-        labels[t] = k
-        yield from rec(t + 1, k + 1)
-
-    yield from rec(0, 0)
+    for labels in _label_strings(n, n, 0, n):
+        yield Grouping.from_labels(labels)
 
 
 def iter_feasible_partitions(instance: Instance):
@@ -140,32 +148,8 @@ def iter_feasible_partitions(instance: Instance):
     Enumeration uses restricted-growth strings with capacity pruning; each
     yielded grouping is canonical (groups ordered by smallest member).
     """
-    n, G, a, b = instance.n, instance.G, instance.a, instance.b
-    labels = [0] * n
-    sizes: list[int] = []
-
-    def rec(t):
-        if t == n:
-            yield Grouping.from_labels(labels)
-            return
-        remaining = n - t - 1
-        k = len(sizes)
-        for g in range(k):
-            if sizes[g] >= b:
-                continue
-            sizes[g] += 1
-            labels[t] = g
-            if _completable(sizes, k, G, a, b, remaining):
-                yield from rec(t + 1)
-            sizes[g] -= 1
-        if k < G:
-            sizes.append(1)
-            labels[t] = k
-            if _completable(sizes, k + 1, G, a, b, remaining):
-                yield from rec(t + 1)
-            sizes.pop()
-
-    yield from rec(0)
+    for labels in _label_strings(instance.n, instance.G, instance.a, instance.b):
+        yield Grouping.from_labels(labels)
 
 
 def _check_cap(n: int, cap: int, what: str):
@@ -178,7 +162,7 @@ def _check_cap(n: int, cap: int, what: str):
 def count_feasible_partitions(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of distinct feasible partitions (exhaustive; capped)."""
     _check_cap(instance.n, cap, "exhaustive-enumeration")
-    return sum(1 for _ in iter_feasible_partitions(instance))
+    return sum(1 for _ in _label_strings(instance.n, instance.G, instance.a, instance.b))
 
 
 def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> OptimalResult:
@@ -191,11 +175,15 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     best: Grouping | None = None
     best_value = float("-inf")
     count = 0
-    for g in iter_feasible_partitions(instance):
+    for labels in _label_strings(instance.n, instance.G, instance.a, instance.b):
         count += 1
-        v = objective_value(g, instance.dist)
-        if v > best_value or (v == best_value and best is not None and g.groups < best.groups):
-            best, best_value = g, v
+        v = instance.dist.same_label_sum(labels)
+        if v > best_value:
+            best, best_value = Grouping.from_labels(labels), v
+        elif v == best_value:
+            g = Grouping.from_labels(labels)
+            if g.groups < best.groups:
+                best = g
     assert best is not None, "valid instances always admit a feasible partition"
     return OptimalResult(
         value=best_value,

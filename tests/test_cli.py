@@ -3,12 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from mdgp import Grouping, objective_value
+from mdgp import Grouping, cli, objective_value
 from mdgp.cli import (
     ParseError,
     REPORT_SCHEMA,
@@ -248,6 +249,37 @@ def test_cmd_solve_export_n3(tmp_path, capsys):
         line for line in lp_path.read_text().splitlines() if line.startswith(" x_")
     ]
     assert "x_1_2 x_1_3 x_2_3" in binaries_line[-1]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--model", "degree-only", "--solver", "bnb"],
+        ["--solver", "heuristic"],
+        ["--solver", "heuristic", "--seed", "1", "--restarts", "0"],
+    ],
+    ids=["degree-only", "no-seed", "zero-restarts"],
+)
+def test_cmd_solve_refusal_writes_no_lp(worked_file, tmp_path, capsys, flags):
+    lp_path = tmp_path / "model.lp"
+    code = main(["solve", "--input", str(worked_file), "--export-lp", str(lp_path), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not lp_path.exists()
+
+
+def test_cmd_solve_heuristic_elapsed_excludes_oracle(worked_file, monkeypatch, capsys):
+    def slow_gap(inst, value):
+        time.sleep(0.5)
+        return 0.0
+
+    monkeypatch.setattr(cli, "_oracle_gap", slow_gap)
+    code = main(["solve", "--input", str(worked_file), "--solver", "heuristic",
+                 "--seed", "1", "--restarts", "1", "--json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gap"] == 0.0
+    assert report["elapsed_ms"] < 500
 
 
 def test_cmd_solve_degree_only_refusal(worked_file, capsys):

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +81,34 @@ def test_roundtrip_exhaustive_small():
         for g in iter_set_partitions(n):
             asg = encode_grouping(g, "unequal")
             assert decode_partition(asg.x, n) == canonicalize(g)
+
+
+def _violated_triples(x, n):
+    """Test-only: every triple (i < j < k) whose transitivity rows fail, in
+    lexicographic order."""
+    return [
+        (i, j, k)
+        for i, j, k in combinations(range(1, n + 1), 3)
+        if x[(i, j)] + x[(j, k)] - x[(i, k)] > 1
+        or x[(i, j)] + x[(i, k)] - x[(j, k)] > 1
+        or x[(i, k)] + x[(j, k)] - x[(i, j)] > 1
+    ]
+
+
+def test_decode_accepts_exactly_the_transitive_assignments():
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for values in product((0, 1), repeat=len(pairs)):
+            x = dict(zip(pairs, values))
+            bad = _violated_triples(x, n)
+            if not bad:
+                grouping = decode_partition(x, n)
+                assert grouping == canonicalize(grouping)
+                assert encode_grouping(grouping).x == x
+            else:
+                with pytest.raises(TransitivityError) as exc:
+                    decode_partition(x, n)
+                assert exc.value.triple == bad[0]
 
 
 # ---------------------------------------------------------------------------

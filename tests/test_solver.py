@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,15 +37,39 @@ def test_set_partition_counts_are_bell_numbers():
         assert sum(1 for _ in iter_set_partitions(n)) == expected
 
 
+def _filtered_label_tuples(n, G, a, b):
+    """Reference enumeration: every label tuple in lexicographic order, kept
+    when it is a restricted-growth string (each label at most one above the
+    largest before it) and each of the G labels is used a..b times; returned
+    as groups ordered by label."""
+    kept = []
+    for labels in itertools.product(range(G), repeat=n):
+        if all(lab <= 1 + max(labels[:t], default=-1) for t, lab in enumerate(labels)) and all(
+            a <= labels.count(g) <= b for g in range(G)
+        ):
+            top = max(labels)
+            kept.append(tuple(
+                tuple(e + 1 for e in range(n) if labels[e] == g) for g in range(top + 1)
+            ))
+    return kept
+
+
 def test_feasible_enumeration_matches_filtered_partitions():
-    inst = random_instance(4, 7, 3, 2, 3)
-    fast = {g.groups for g in iter_feasible_partitions(inst)}
-    slow = {
-        g.groups
-        for g in iter_set_partitions(7)
-        if validate_grouping(g, inst).feasible
-    }
-    assert fast == slow
+    for n in range(1, 8):
+        for G in range(1, min(n, 4) + 1):
+            lo, hi = n // G, -(-n // G)
+            for a, b in sorted({(1, n), (1, hi), (lo, hi), (lo, n), (lo, lo)}):
+                if a > b or not G * a <= n <= G * b:
+                    continue
+                inst = random_instance(n, n, G, a, b)
+                got = [g.groups for g in iter_feasible_partitions(inst)]
+                assert got == _filtered_label_tuples(n, G, a, b), (n, G, a, b)
+
+
+def test_set_partitions_match_filtered_label_tuples():
+    for n in range(1, 7):
+        got = [g.groups for g in iter_set_partitions(n)]
+        assert got == _filtered_label_tuples(n, n, 0, n)
 
 
 def test_count_worked_example(worked_instance):
@@ -103,6 +129,32 @@ def test_bruteforce_result_is_feasible_and_consistent():
         result = solve_bruteforce(inst)
         assert validate_grouping(result.grouping, inst).feasible
         assert objective_value(result.grouping, inst.dist) == result.value
+
+
+def _oracle_reference(inst):
+    """The oracle's contract written as a plain loop: the best objective_value
+    over iter_feasible_partitions, ties to the lexicographically smallest
+    groups, and the number of partitions scored."""
+    best, best_value, count = None, float("-inf"), 0
+    for g in iter_feasible_partitions(inst):
+        count += 1
+        v = objective_value(g, inst.dist)
+        if v > best_value or (v == best_value and g.groups < best.groups):
+            best, best_value = g, v
+    return best_value, best.groups, count
+
+
+def test_bruteforce_matches_reference_loop_on_ties():
+    # distances in {0, 1} or {-2, ..., 1} make the optimum tie exactly in 38
+    # of the 76 cases with more than one group
+    rng = np.random.default_rng(8)
+    for seed, n, G, a, b in seeded_cases(100, n_range=(3, 8), groups=(1, 2, 3)):
+        low = -2 if seed % 2 else 0
+        dist = DistanceMatrix(n, rng.integers(low, 2, size=n * (n - 1) // 2))
+        inst = Instance(dist, G, a, b)
+        result = solve_bruteforce(inst)
+        got = (result.value, result.grouping.groups, result.nodes_explored)
+        assert got == _oracle_reference(inst), (seed, n, G, a, b)
 
 
 # ---------------------------------------------------------------------------
