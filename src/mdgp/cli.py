@@ -70,38 +70,6 @@ class LoadedInstance:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """One solve/verify outcome; `value` always re-evaluates bit-equal via
-    objective_value on `groups`."""
-
-    n: int
-    G: int
-    a: int
-    b: int
-    solver: str
-    value: float
-    groups: tuple[tuple[int, ...], ...]
-    proven: bool
-    elapsed_ms: float
-    nodes: int
-    gap: float | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "instance": {"n": self.n, "G": self.G, "a": self.a, "b": self.b},
-            "solver": self.solver,
-            "value": self.value,
-            "groups": [list(g) for g in self.groups],
-            "proven": self.proven,
-            "elapsed_ms": self.elapsed_ms,
-            "nodes": self.nodes,
-        }
-        if self.gap is not None:
-            d["gap"] = self.gap
-        return d
-
-
 REPORT_SCHEMA = {
     "type": "object",
     "properties": {
@@ -380,19 +348,21 @@ def _fmt_groups(groups) -> str:
     return " ".join("{" + ",".join(str(e) for e in g) + "}" for g in groups)
 
 
-def _print_report(report: RunReport, as_json: bool):
+def _print_report(report: dict, as_json: bool):
+    """Render a solve report (a dict matching REPORT_SCHEMA) as JSON or text."""
     if as_json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report, indent=2))
         return
-    print(f"instance: n={report.n} G={report.G} a={report.a} b={report.b}")
-    print(f"solver: {report.solver}")
-    print(f"value: {report.value:g}")
-    print(f"groups: {_fmt_groups(report.groups)}")
-    print(f"proven: {'yes' if report.proven else 'no'}")
-    print(f"nodes: {report.nodes}")
-    print(f"elapsed: {report.elapsed_ms:.1f} ms")
-    if report.gap is not None:
-        print(f"gap vs exact optimum: {report.gap:g}")
+    inst = report["instance"]
+    print(f"instance: n={inst['n']} G={inst['G']} a={inst['a']} b={inst['b']}")
+    print(f"solver: {report['solver']}")
+    print(f"value: {report['value']:g}")
+    print(f"groups: {_fmt_groups(report['groups'])}")
+    print(f"proven: {'yes' if report['proven'] else 'no'}")
+    print(f"nodes: {report['nodes']}")
+    print(f"elapsed: {report['elapsed_ms']:.1f} ms")
+    if "gap" in report:
+        print(f"gap vs exact optimum: {report['gap']:g}")
 
 
 def _load(args) -> Instance:
@@ -457,19 +427,17 @@ def _cmd_solve(args) -> int:
     if args.export_lp:
         Path(args.export_lp).write_text(export_lp(build_model(inst, variant)))
 
-    report = RunReport(
-        n=inst.n,
-        G=inst.G,
-        a=inst.a,
-        b=inst.b,
-        solver=solver,
-        value=found.value,
-        groups=found.grouping.groups,
-        proven=proven,
-        elapsed_ms=elapsed_ms,
-        nodes=nodes,
-        gap=gap,
-    )
+    report = {
+        "instance": _instance_dict(inst),
+        "solver": solver,
+        "value": found.value,
+        "groups": [list(g) for g in found.grouping.groups],
+        "proven": proven,
+        "elapsed_ms": elapsed_ms,
+        "nodes": nodes,
+    }
+    if gap is not None:
+        report["gap"] = gap
     _print_report(report, args.json)
     return 3 if solver == "bnb" and not proven else 0
 

@@ -10,11 +10,11 @@ usual notation for this problem family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 METRICS = ("manhattan", "euclidean", "gower")
 
@@ -53,7 +53,11 @@ class AttributeTable:
                 if kind == "num":
                     if isinstance(value, bool) or not isinstance(value, (int, float)):
                         raise ValueError(f"row {idx}: {value!r} is not numeric")
-                    if not np.isfinite(value):
+                    try:
+                        finite = math.isfinite(value)
+                    except OverflowError:  # an int beyond the float range
+                        finite = False
+                    if not finite:
                         raise ValueError(f"row {idx}: non-finite numeric value")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "schema", schema)
@@ -65,11 +69,6 @@ class AttributeTable:
     @property
     def k(self) -> int:
         return len(self.schema)
-
-    def numeric_columns(self) -> np.ndarray:
-        """The numeric attributes as an (n, k_num) float array."""
-        cols = [i for i, kind in enumerate(self.schema) if kind == "num"]
-        return np.array([[row[i] for i in cols] for row in self.rows], dtype=float)
 
 
 @lru_cache(maxsize=8)
@@ -240,10 +239,6 @@ class Grouping:
     def group_count(self) -> int:
         return len(self.groups)
 
-    def labels(self) -> dict[int, int]:
-        """Element -> 1-based group label in stored order."""
-        return {e: g for g, members in enumerate(self.groups, 1) for e in members}
-
     def label_array(self) -> np.ndarray:
         """Entry e is the 0-based stored group index of element e + 1: the
         inverse of :meth:`from_labels`."""
@@ -273,34 +268,42 @@ def distance_matrix(table: AttributeTable, metric: str) -> DistanceMatrix:
     (0 when the column has zero range), categorical attributes contribute
     0/1 on equality, and the distance is the mean contribution, so every
     entry lies in [0, 1].
+
+    Each pair's value starts at 0.0 and adds one term per column in schema
+    order (|delta|, delta squared, or the Gower term), then takes one square
+    root (euclidean) or one division by K (gower): the float operations, in
+    order, of a per-pair loop over the columns.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
-    n = table.n
-    if metric in ("manhattan", "euclidean"):
-        if any(kind != "num" for kind in table.schema):
-            raise SchemaError(
-                f"{metric} distance requires an all-numeric schema; "
-                "use gower for mixed attributes"
-            )
-        x = table.numeric_columns()
-        cond = pdist(x, "cityblock" if metric == "manhattan" else "euclidean")
-        return DistanceMatrix(n, cond)
-
-    # Gower: mean per-attribute contribution over all K columns.
-    pairs = n * (n - 1) // 2
-    total = np.zeros(pairs)
-    iu, ju = _pair_index(n)
-    for col, kind in enumerate(table.schema):
-        if kind == "num":
+    if metric != "gower" and "cat" in table.schema:
+        raise SchemaError(
+            f"{metric} distance requires an all-numeric schema; "
+            "use gower for mixed attributes"
+        )
+    iu, ju = _pair_index(table.n)
+    total = np.zeros(len(iu))
+    # values near the float limit overflow to inf or nan here; DistanceMatrix
+    # rejects that result with its own error, so the warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, kind in enumerate(table.schema):
+            if kind == "cat":
+                v = np.array([row[col] for row in table.rows], dtype=object)
+                total += (v[iu] != v[ju]).astype(float)
+                continue
             v = np.array([row[col] for row in table.rows], dtype=float)
-            rng = v.max() - v.min()
-            if rng > 0.0:
-                total += np.abs(v[iu] - v[ju]) / rng
-        else:
-            v = np.array([row[col] for row in table.rows], dtype=object)
-            total += (v[iu] != v[ju]).astype(float)
-    return DistanceMatrix(n, total / table.k)
+            delta = np.abs(v[iu] - v[ju])
+            if metric == "manhattan":
+                total += delta
+            elif metric == "euclidean":
+                total += delta * delta
+            elif (rng := v.max() - v.min()) > 0.0:
+                total += delta / rng
+        if metric == "euclidean":
+            total = np.sqrt(total)
+        elif metric == "gower":
+            total /= table.k
+    return DistanceMatrix(table.n, total)
 
 
 def objective_value(grouping: Grouping, dist: DistanceMatrix) -> float:

@@ -458,6 +458,23 @@ def test_cmd_dist_errors_report_their_line(text, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values, metric", [
+    ("-1.7e308\n1.7e308", "manhattan"),
+    ("-1.7e308\n1.7e308", "euclidean"),
+    ("-1.7e308\n1.7e308", "gower"),
+    ("1e200\n-1e200", "euclidean"),
+], ids=["manhattan", "euclidean", "gower", "euclidean-square"])
+def test_cmd_attr_overflow_reports_only_its_error(values, metric, tmp_path, capsys):
+    # the per-column pass overflows to inf or nan, without numpy warnings
+    path = tmp_path / "huge.txt"
+    path.write_text(f"2 1 2 2\nATTR 1\nnum\n{values}\n")
+    assert main(["solve", "--input", str(path), "--metric", metric]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 1: all distances must be finite\n"
+    assert captured.out == ""
+
+
 def test_cmd_solve_schema_error_on_categorical_manhattan(tmp_path, capsys):
     path = tmp_path / "mixed.txt"
     path.write_text("4 2 2 2\nATTR 2\nnum cat\n1 x\n2 y\n3 x\n4 y\n")

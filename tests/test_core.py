@@ -113,6 +113,64 @@ def test_manhattan_rejects_categorical_schema():
         distance_matrix(table, "euclidean")
 
 
+def reference_distances(table, metric):
+    """Per-pair loop over the columns: s = 0.0, one term per column in schema
+    order, then one square root (euclidean) or one division by K (gower)."""
+    cols = list(zip(*table.rows))
+    ranges = [max(c) - min(c) if kind == "num" else None
+              for kind, c in zip(table.schema, cols)]
+    out = []
+    for i, j in combinations(range(table.n), 2):
+        s = 0.0
+        for kind, rng, x, y in zip(table.schema, ranges, table.rows[i], table.rows[j]):
+            if kind == "cat":
+                s += float(x != y)
+                continue
+            d = abs(x - y)
+            if metric == "manhattan":
+                s += d
+            elif metric == "euclidean":
+                s += d * d
+            elif rng > 0:
+                s += d / rng
+        if metric == "euclidean":
+            s = math.sqrt(s)
+        elif metric == "gower":
+            s /= table.k
+        out.append(s)
+    return out
+
+
+def test_distances_match_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for case in range(240):
+        n = int(rng.integers(1, 31))
+        k = int(rng.integers(1, 13))
+        x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 6)
+        if case % 2:
+            x = np.round(x, int(rng.integers(0, 3)))
+        rows = x.tolist()
+        numeric = AttributeTable(rows, ("num",) * k)
+        for metric in ("manhattan", "euclidean", "gower"):
+            got = distance_matrix(numeric, metric).condensed().tolist()
+            assert got == reference_distances(numeric, metric), (case, metric)
+        # gower with categorical and zero-range numeric columns
+        kinds = rng.choice(["num", "cat", "const"], size=k)
+        mixed_rows = [
+            [v if kind == "num" else 2.5 if kind == "const" else "abc"[int(abs(v)) % 3]
+             for kind, v in zip(kinds, row)]
+            for row in rows
+        ]
+        mixed = AttributeTable(mixed_rows, ["cat" if kind == "cat" else "num" for kind in kinds])
+        got = distance_matrix(mixed, "gower").condensed().tolist()
+        assert got == reference_distances(mixed, "gower"), case
+
+
+def test_attribute_table_rejects_an_int_beyond_the_float_range():
+    with pytest.raises(ValueError, match="row 1"):
+        AttributeTable([(10**400,)], ("num",))
+
+
 @settings(max_examples=60, deadline=None)
 @given(numeric_tables(), st.sampled_from(["manhattan", "euclidean"]))
 def test_metric_axioms_numeric(table, metric):

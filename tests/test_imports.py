@@ -1,10 +1,14 @@
-"""Static check: every name a module of the package imports is used in it.
+"""Import hygiene: every name a module of the package imports is used in it,
+and importing the package loads no scipy.
 
-No linter ships with the test dependencies, so this walks each module's
-syntax tree. ``__init__.py`` is skipped: its imports are re-exports.
+No linter ships with the test dependencies, so the first check walks each
+module's syntax tree. ``__init__.py`` is skipped: its imports are re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +37,15 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; code that needs scipy imports it
+    # inside the function that uses it, so `import mdgp` stays fast
+    probe = ("import sys, mdgp, mdgp.cli; "
+             "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -175,8 +175,7 @@ def test_bound_along_optimal_prefixes():
     for seed, n, G, a, b in seeded_cases(8, n_range=(5, 7)):
         inst = random_instance(seed, n, G, a, b)
         opt = solve_bruteforce(inst)
-        labels_by_element = opt.grouping.labels()
-        prefix = tuple(labels_by_element[e] for e in range(1, n + 1))
+        prefix = tuple((opt.grouping.label_array() + 1).tolist())
         for t in range(n + 1):
             state = SearchState(inst, prefix[:t])
             assert partial_value(state) + upper_bound(state) + TOL >= opt.value
@@ -284,8 +283,7 @@ def test_bound_along_optimal_prefixes_signed(inst):
     # with negative entries an element may gain most from as few partners as
     # the lower size bound allows, so the bound must not assume b-1 of them
     opt = solve_bruteforce(inst)
-    labels_by_element = opt.grouping.labels()
-    prefix = tuple(labels_by_element[e] for e in range(1, inst.n + 1))
+    prefix = tuple((opt.grouping.label_array() + 1).tolist())
     for t in range(inst.n + 1):
         state = SearchState(inst, prefix[:t])
         assert partial_value(state) + upper_bound(state) + TOL >= opt.value
