@@ -20,9 +20,19 @@ with ``s`` assigned members. The unassigned elements are always a suffix
 updated as elements join and leave groups, so a node costs
 ``O((n - t) * G)`` without a sort. The bound holds for signed distances.
 
+The search does not branch on the last ``R`` elements, where ``R`` is the
+largest ``r <= n`` with ``G**r <= 1024`` (at least 1). A node that has
+assigned the first ``n - R`` elements scores every feasible labelling of the
+rest in one numpy pass (:class:`_Tail`), and so does the root when
+``n <= R``. Each such tail counts as one node: ``nodes_explored`` counts the
+branching nodes plus the tails, and a node budget is checked before each.
+
 The search is deterministic: for a given instance and node budget it always
-visits the same nodes and returns the same value and grouping. Among tied
-optima it keeps the first one found (the seed, if the seed is optimal).
+visits the same nodes and returns the same value and grouping. It replaces
+the incumbent (the seed, to begin with) only by a strictly higher exact
+``same_label_sum``, so among tied optima it keeps the first one found; the
+fast tail sums only choose which labellings get that exact sum, and a tail
+tries them in lexicographic order, so rounding never picks a tie.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import islice
+from numbers import Integral
 from operator import add
 
 import numpy as np
@@ -38,6 +50,11 @@ from .core import Grouping, Instance, canonicalize
 from .heuristic import multistart
 
 DEFAULT_ENUMERATION_CAP = 12
+
+# label strings the oracle scores in one numpy pass
+_ORACLE_CHUNK = 4096
+# the branch-and-bound scores at most this many tail labellings in one pass
+_TAIL_LABELLINGS = 1024
 
 # the heuristic call that seeds the incumbent
 _SEED_RESTARTS = 8
@@ -52,8 +69,11 @@ class SolveOptions:
     time_budget: float | None = None
 
     def __post_init__(self):
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError("node_budget must be positive")
+        budget = self.node_budget
+        if budget is not None and (
+            isinstance(budget, bool) or not isinstance(budget, Integral) or budget < 1
+        ):
+            raise ValueError("node_budget must be a positive integer")
         # written so that NaN, which compares false with everything, fails too
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive")
@@ -165,25 +185,48 @@ def count_feasible_partitions(instance: Instance, cap: int = DEFAULT_ENUMERATION
     return sum(1 for _ in _label_strings(instance.n, instance.G, instance.a, instance.b))
 
 
+def _rounding_slack(instance: Instance) -> float:
+    """How far two float sums of the same same-group pairs can lie apart.
+
+    Any order of adding m terms is within (m - 1) * eps/2 * S of the exact
+    sum, where S bounds the sum of their absolute values; a labelling has at
+    most n*n/2 such pairs, so two orders differ by at most n*n * eps/2 * S.
+    The slack doubles that.
+    """
+    n = instance.n
+    return n * n * np.finfo(float).eps * float(np.abs(instance.dist.condensed()).sum())
+
+
 def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> OptimalResult:
     """Enumerate every feasible partition and return the proven optimum.
 
     Ties are broken toward the lexicographically smallest canonical grouping.
+    Strings are scored in chunks by one masked sum each; only those within
+    rounding of the best so far are rescored with ``same_label_sum``, in
+    order, so value and tie are those of scoring every string that way.
     """
     _check_cap(instance.n, cap, "exhaustive-enumeration")
     t0 = time.perf_counter()
+    dist = instance.dist
+    iu, ju = np.triu_indices(instance.n, k=1)
+    pair_dist = dist.condensed()
+    slack = _rounding_slack(instance)
     best: Grouping | None = None
     best_value = float("-inf")
     count = 0
-    for labels in _label_strings(instance.n, instance.G, instance.a, instance.b):
-        count += 1
-        v = instance.dist.same_label_sum(labels)
-        if v > best_value:
-            best, best_value = Grouping.from_labels(labels), v
-        elif v == best_value:
-            g = Grouping.from_labels(labels)
-            if g.groups < best.groups:
-                best = g
+    strings = map(tuple, _label_strings(instance.n, instance.G, instance.a, instance.b))
+    while chunk := list(islice(strings, _ORACLE_CHUNK)):
+        labels = np.array(chunk, dtype=np.min_scalar_type(instance.G - 1))
+        count += len(labels)
+        fast = np.where(labels[:, iu] == labels[:, ju], pair_dist, 0.0).sum(axis=1)
+        for row in labels[fast >= max(best_value, fast.max()) - slack]:
+            v = dist.same_label_sum(row)
+            if v > best_value:
+                best, best_value = Grouping.from_labels(row.tolist()), v
+            elif v == best_value:
+                g = Grouping.from_labels(row.tolist())
+                if g.groups < best.groups:
+                    best = g
     assert best is not None, "valid instances always admit a feasible partition"
     return OptimalResult(
         value=best_value,
@@ -272,19 +315,82 @@ def partial_value(state: SearchState) -> float:
     return state.instance.dist.same_label_sum(lab)
 
 
+class _Tail:
+    """Every labelling of the last ``R`` elements ``n-R..n-1``, in
+    lexicographic order, with the sum of the tail pairs each one puts in a
+    group together. ``R`` is the largest ``r <= n`` with ``G**r`` at most
+    ``_TAIL_LABELLINGS``, and at least 1.
+
+    The tail is the same suffix at every node that reaches it, so the
+    labellings and their pair sums are built once per solve. Which of them
+    complete a prefix depends only on the prefix's open-group sizes; that
+    subset is built the first time a sizes tuple reaches the tail.
+    """
+
+    def __init__(self, square: np.ndarray, G: int, a: int, b: int):
+        n = len(square)
+        R = 1
+        while R < n and G ** (R + 1) <= _TAIL_LABELLINGS:
+            R += 1
+        self.G, self.a, self.b, self.R = G, a, b, R
+        lab = np.arange(G**R)[:, None] // G ** np.arange(R - 1, -1, -1) % G
+        self.labels = lab.astype(np.min_scalar_type(G - 1))
+        iu, ju = np.triu_indices(R, k=1)
+        within = square[n - R :, n - R :][iu, ju]
+        self.pair_sums = np.where(lab[:, iu] == lab[:, ju], within, 0.0).sum(axis=1)
+        # per labelling and tail position: the largest label before it (-1 at
+        # the first), how often its label occurs in the tail, and whether it
+        # is that label's first occurrence
+        self._before = np.maximum.accumulate(np.hstack([np.full((len(lab), 1), -1), lab[:, :-1]]), axis=1)
+        same = lab[:, :, None] == lab[:, None, :]
+        self._count = same.sum(axis=2)
+        self._first = ~(same & np.tri(R, k=-1, dtype=bool)).any(axis=2)
+        self._fits: dict[tuple[int, ...], tuple] = {}
+
+    def fits(self, sizes: tuple[int, ...]):
+        """For the prefix whose open groups have ``sizes``: the indices of the
+        labellings that complete it (new groups opened in label order, so
+        each completion appears once, and all G groups of size a..b), their
+        offsets into a flattened (G, R) array of the tail's gains, and their
+        pair sums."""
+        if sizes not in self._fits:
+            lab, k = self.labels, len(sizes)
+            size = np.zeros(self.G, dtype=np.intp)
+            size[:k] = sizes
+            final = size[lab] + self._count
+            ok = (
+                (lab <= np.maximum(self._before, k - 1) + 1)
+                & (final >= self.a)
+                & (final <= self.b)
+            ).all(axis=1)
+            # a group left out of the tail keeps its size, so it must already reach a
+            short = size < self.a
+            ok &= (self._first & short[lab]).sum(axis=1) == short.sum()
+            idx = np.flatnonzero(ok)
+            offsets = lab[idx].astype(np.intp) * self.R + np.arange(self.R)
+            self._fits[sizes] = (idx, offsets, self.pair_sums[idx])
+        return self._fits[sizes]
+
+
 def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalResult:
     """Branch-and-bound exact search; proven optimum unless a budget runs out."""
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
     n, G, a, b = instance.n, instance.G, instance.a, instance.b
+    dist = instance.dist
 
     seed = multistart(instance, restarts=_SEED_RESTARTS, seed=_SEED_SEED)
     best_value = seed.value
     best_grouping = canonicalize(seed.grouping)
 
-    d = instance.dist.as_square().tolist()
-    tails = [d[t][t + 1 :] for t in range(n)]
-    Q = [_suffix_table(d, t, a, b) for t in range(n + 1)]
+    square = dist.as_square()
+    d = square.tolist()
+    tail = _Tail(square, G, a, b)
+    R = tail.R
+    slack = _rounding_slack(instance)
+    # per branching depth t < n - R: the distances from element t to the
+    # elements after it, and the suffix table of its children's bound
+    levels = [(d[t][t + 1 :], _suffix_table(d, t + 1, a, b)) for t in range(n - R)]
     # A[g][u]: distance sum from u to the members of group g, exact for every
     # unassigned u; unopened groups stay all zero. Backtracking restores a
     # saved slice instead of subtracting, so the sums never drift and A[g][t]
@@ -297,10 +403,29 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     labels0: list[int] = []
     sizes: list[int] = []
 
+    def finish(cur: float):
+        # score every completion of the prefix at once; the fast sums decide
+        # only which labellings get an exact same_label_sum, in lexicographic
+        # order, so the first exact maximum wins and rounding picks nothing
+        nonlocal best_value, best_grouping
+        t = n - R
+        idx, offsets, pair_sums = tail.fits(tuple(sizes))
+        gains = np.array([col[t:] for col in A]).ravel()
+        score = gains[offsets].sum(axis=1) + pair_sums
+        top, need = score.max(), best_value - cur
+        if top < need - slack:
+            return
+        full = np.array(labels0 + [0] * R)
+        for m in idx[score >= max(need, top) - slack]:
+            full[t:] = tail.labels[m]
+            value = dist.same_label_sum(full)
+            if value > best_value:
+                best_value, best_grouping = value, Grouping.from_labels(full.tolist())
+
     def dfs(cur: float, deficit: int):
         # deficit: elements still needed to lift every group to size a; the
         # matching capacity check is implied by G*b >= n and sizes <= b
-        nonlocal best_value, best_grouping, nodes, exhausted
+        nonlocal nodes, exhausted
         if (node_budget is not None and nodes >= node_budget) or (
             deadline is not None and time.monotonic() >= deadline
         ):
@@ -308,10 +433,8 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
             return
         nodes += 1
         t = len(labels0)
-        if t == n:
-            value = instance.dist.same_label_sum(labels0)
-            if value > best_value:
-                best_value, best_grouping = value, Grouping.from_labels(labels0)
+        if t == n - R:
+            finish(cur)
             return
 
         remaining = n - t - 1
@@ -321,7 +444,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
             candidates.append((0.0, k))
         candidates.sort(key=lambda c: (-c[0], c[1]))
 
-        tail, Qt = tails[t], Q[t + 1]
+        tail_dist, Qt = levels[t]
         for inc, g in candidates:
             opens = g == k
             child_deficit = deficit - 1 if opens or sizes[g] < a else deficit
@@ -334,7 +457,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
             labels0.append(g)
             col = A[g]
             saved = col[t + 1 :]
-            col[t + 1 :] = map(add, saved, tail)
+            col[t + 1 :] = map(add, saved, tail_dist)
             child = cur + inc
             if child + _completion_bound(A, Qt, sizes, t + 1, G, b) > best_value:
                 dfs(child, child_deficit)

@@ -535,20 +535,20 @@ EXACT_CASES = {
         "value: 9\n"
         "groups: {1,4} {2,5} {3,6}\n"
         "proven: yes\n"
-        "nodes: 30\n"
+        "nodes: 1\n"
         "elapsed: 0.0 ms\n",
         "",
     ),
     "solve-model-equal": (
         ["solve", "--input", "{worked}", "--model", "equal", "--json"],
         0,
-        _json_text(_worked_report(2, 2, nodes=10)),
+        _json_text(_worked_report(2, 2, nodes=1)),
         "",
     ),
     "export-and-solve": (
         ["solve", "--input", "{worked}", "--export-lp", "{lp}", "--solver", "bnb", "--json"],
         0,
-        _json_text(_worked_report(2, 3, nodes=30)),
+        _json_text(_worked_report(2, 3, nodes=1)),
         "",
     ),
     "export-only-json": (

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdgp import (
     DistanceMatrix,
@@ -24,6 +24,7 @@ from mdgp import (
     upper_bound,
     validate_grouping,
 )
+from mdgp.cli import gen_instance, parse_instance
 from conftest import TOL, random_instance, seeded_cases
 
 
@@ -157,6 +158,24 @@ def test_bruteforce_matches_reference_loop_on_ties():
         assert got == _oracle_reference(inst), (seed, n, G, a, b)
 
 
+def test_bruteforce_matches_reference_loop_on_rounded_ties():
+    # decimal distances tie in exact arithmetic but not always in floats, and
+    # summing the same pairs in another order moves a sum by an ulp; the chunk
+    # scoring must still pick the value and tie of the per-partition loop. With
+    # G = 2 and n = 9 the branch-and-bound's root is its exact tail, so it
+    # too must reach that value bit for bit.
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        n, G = 9, 2
+        a = int(rng.integers(1, n // G + 1))
+        b = int(rng.integers(-(-n // G), n + 1))
+        inst = Instance(DistanceMatrix(n, rng.choice([0.1, 0.2, 0.3, 0.7], size=36)), G, a, b)
+        result = solve_bruteforce(inst)
+        expected = _oracle_reference(inst)
+        assert (result.value, result.grouping.groups, result.nodes_explored) == expected
+        assert solve_bnb(inst).value == expected[0]
+
+
 # ---------------------------------------------------------------------------
 # upper bound
 # ---------------------------------------------------------------------------
@@ -237,11 +256,12 @@ def test_bnb_node_budget_semantics():
     assert limited.value <= solve_bruteforce(inst).value + TOL
     assert validate_grouping(limited.grouping, inst).feasible
     # a node budget makes the cut-off point, and so the answer, deterministic
-    runs = [solve_bnb(inst, SolveOptions(node_budget=40)) for _ in range(2)]
+    # (the full search proves this instance in 9 nodes)
+    runs = [solve_bnb(inst, SolveOptions(node_budget=5)) for _ in range(2)]
     assert not runs[0].proven
     assert runs[0].value == runs[1].value
     assert runs[0].grouping.groups == runs[1].grouping.groups
-    assert runs[0].nodes_explored == runs[1].nodes_explored == 40
+    assert runs[0].nodes_explored == runs[1].nodes_explored == 5
 
 
 def test_bnb_signed_distances_regression():
@@ -299,6 +319,69 @@ def test_bnb_bound_tightness_regression():
     assert result.value == pytest.approx(1788.1898, abs=1e-4)
 
 
+@st.composite
+def _tail_instances(draw):
+    n = draw(st.integers(1, 9))
+    G = draw(st.integers(1, n))
+    a = draw(st.integers(1, n // G))
+    b = draw(st.integers(-(-n // G), n))
+    low = draw(st.sampled_from([0.0, -100.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_instance(seed, n, G, a, b, low=low)
+
+
+# the search scores the last R elements at once, R the largest r <= n with
+# G**r <= 1024: for n = 9 the root is that tail when G = 2 and is not when
+# G = 3 (R = 6) or G = 9 (R = 3)
+@settings(max_examples=150, deadline=None)
+@given(_tail_instances())
+@example(random_instance(1, 9, 2, 1, 8, low=-100.0))
+@example(random_instance(2, 9, 3, 2, 4))
+@example(random_instance(3, 9, 9, 1, 1, low=-100.0))
+@example(random_instance(4, 9, 3, 1, 5, low=-100.0))
+def test_bnb_with_tail_equals_oracle(inst):
+    exact = solve_bruteforce(inst)
+    bnb = solve_bnb(inst)
+    assert bnb.proven
+    assert bnb.value == exact.value
+    assert bnb.grouping.groups == exact.grouping.groups
+    assert objective_value(bnb.grouping, inst.dist) == bnb.value
+
+
+def test_bnb_one_element_tail():
+    # 33**2 > 1024, so the tail is the last element alone; with sizes in
+    # [1, 2] the optimum puts the farthest pair together
+    rng = np.random.default_rng(34)
+    inst = Instance(DistanceMatrix(34, rng.uniform(-100, 100, 34 * 33 // 2)), 33, 1, 2)
+    result = solve_bnb(inst)
+    assert result.proven
+    assert result.value == inst.dist.condensed().max()
+    assert objective_value(result.grouping, inst.dist) == result.value
+
+
+# (N, G, a, b, kind, seed) -> (nodes_explored, value.hex()): node counts do
+# not depend on the machine, so they pin the search itself
+NODE_GATE = {
+    (12, 3, 4, 4, "uniformkd:2", 1): (177, "0x1.3cf8cce1c5826p+10"),
+    (12, 4, 2, 4, "mixed:2,2", 2): (919, "0x1.30f629506f257p+3"),
+    (13, 3, 3, 5, "uniformkd:2", 3): (542, "0x1.af87a8d64d7f2p+10"),
+    (14, 2, 7, 7, "uniformkd:3", 4): (16, "0x1.1dff852d666aap+12"),
+    (11, 4, 2, 3, "uniform1d", 5): (203, "0x1.794f4aba38759p+8"),
+    (14, 3, 4, 5, "mixed:2,2", 7): (1547, "0x1.14ad618d2fadbp+4"),
+}
+
+
+def test_bnb_node_counts_are_pinned():
+    got = {}
+    for n, G, a, b, kind, seed in NODE_GATE:
+        metric = "gower" if kind.startswith("mixed") else "manhattan"
+        inst = parse_instance(gen_instance(n, G, a, b, kind, seed), metric).instance
+        result = solve_bnb(inst)
+        assert result.proven
+        got[n, G, a, b, kind, seed] = (result.nodes_explored, result.value.hex())
+    assert got == NODE_GATE
+
+
 def test_bnb_result_satisfies_full_model():
     inst = random_instance(21, 8, 3, 2, 3)
     result = solve_bnb(inst)
@@ -311,6 +394,11 @@ def test_bnb_result_satisfies_full_model():
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(node_budget=0)
+    # NaN compares false with everything, so it would never stop the search
+    for budget in (float("nan"), 2.5, 40.0, True, "40"):
+        with pytest.raises(ValueError, match="node_budget"):
+            SolveOptions(node_budget=budget)
+    assert SolveOptions(node_budget=np.int64(40)).node_budget == 40
     with pytest.raises(ValueError):
         SolveOptions(time_budget=-1.0)
     with pytest.raises(ValueError):
