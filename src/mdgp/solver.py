@@ -2,12 +2,27 @@
 
 The oracle (:func:`solve_bruteforce`) enumerates every feasible partition via
 restricted-growth strings and is the ground truth the rest of the package is
-benchmarked against. :func:`solve_bnb` is one depth-first search from the
-root: it assigns elements in index order with symmetry breaking (a new group
-always takes the lowest unused label), prunes on capacity and on an
-admissible completion bound against a single incumbent seeded by the
-heuristic, and returns a proven optimum unless a node/time budget runs out
-first.
+benchmarked against. :func:`solve_bnb` assigns elements in index order with
+symmetry breaking (a new group always takes the lowest unused label), prunes
+on capacity and on an admissible completion bound against a single incumbent
+seeded by the heuristic, and returns a proven optimum unless a node/time
+budget runs out first.
+
+A node is a symmetry-broken assignment of the first ``t`` elements. The
+search is depth-first over batches of nodes: a stack holds arrays of nodes of
+one depth, and one numpy pass expands a batch into every child (node, group),
+where the group is an open group with room or the first unopened one. The
+pass drops the children whose remaining elements cannot lift every group to
+size ``a``, bounds the rest, and keeps those whose value plus bound exceeds
+the incumbent. Children follow their parents' order, and a node's children
+go by decreasing gain, then by group, so the nodes of every depth are
+visited in the order a node-by-node depth-first search would visit them
+(batch order). A batch larger than one pass is split and its rest waits on
+the stack. A pass is sized in floats, with an equal share of
+``_BATCH_FLOATS`` for each depth that may hold pending nodes, so the
+pending nodes stay within it however wide the frontier grows. A node taken
+off the stack whose bound no longer beats the incumbent is dropped
+uncounted.
 
 The completion bound is a single-group bound. Every unassigned element ends
 up in exactly one group, where it gains its exact distance sum to the
@@ -16,23 +31,41 @@ that join it; their number lies between ``a-1-s`` and ``b-1-s`` for a group
 with ``s`` assigned members. The unassigned elements are always a suffix
 ``t..n-1`` of the index order, so the second part depends only on
 ``(t, u, s)`` and comes from a table built once per solve
-(:func:`_suffix_table`). The first part is kept per element and group and
-updated as elements join and leave groups, so a node costs
-``O((n - t) * G)`` without a sort. The bound holds for signed distances.
+(:func:`_suffix_table`). The first part is kept per node, element and group,
+so a node costs ``O((n - t) * G)`` per child, without a sort. The bound
+holds for signed distances, and :func:`_completion_bounds` is its only
+implementation: :func:`upper_bound` replays a state through it as a batch of
+one.
 
 The search does not branch on the last ``R`` elements, where ``R`` is the
-largest ``r <= n`` with ``G**r <= 1024`` (at least 1). A node that has
-assigned the first ``n - R`` elements scores every feasible labelling of the
-rest in one numpy pass (:class:`_Tail`), and so does the root when
-``n <= R``. Each such tail counts as one node: ``nodes_explored`` counts the
-branching nodes plus the tails, and a node budget is checked before each.
+largest ``r <= n`` with ``G**r <= 1024`` (at least 1). A batch of nodes that
+have assigned the first ``n - R`` elements scores every feasible labelling
+of the rest in one numpy pass per sizes tuple (:class:`_Tail`), and so does
+the root when ``n <= R``. Each such tail counts as one node:
+``nodes_explored`` counts the branching nodes plus the tails. A node budget
+truncates the batch that would exceed it, so ``nodes_explored`` never
+exceeds it; the deadline is checked before each batch.
+
+Which nodes the search visits depends on their order only through the
+incumbent. While the incumbent stays fixed, and so whenever the seed is
+already optimal, the search visits exactly the nodes a node-by-node
+depth-first search visits. When it rises, a batch may have bounded some of
+its nodes against the older value, so the count can differ slightly.
 
 The search is deterministic: for a given instance and node budget it always
 visits the same nodes and returns the same value and grouping. It replaces
 the incumbent (the seed, to begin with) only by a strictly higher exact
 ``same_label_sum``, so among tied optima it keeps the first one found; the
-fast tail sums only choose which labellings get that exact sum, and a tail
-tries them in lexicographic order, so rounding never picks a tie.
+fast tail sums only choose which labellings get that exact sum, and a batch
+of tails tries them node by node in batch order, then in lexicographic
+order, so rounding never picks a tie.
+
+The float contract of both solvers: a proven ``value`` is within
+``_rounding_slack(instance)`` (``N**2 * eps * sum|d|``) of every feasible
+grouping's ``same_label_sum``, and ``objective_value(grouping) == value``
+exactly. The prune compares the float bound with no slack, so among
+groupings tied in exact arithmetic the search may return one that is an ulp
+below another.
 """
 
 from __future__ import annotations
@@ -42,7 +75,7 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Integral
-from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +88,8 @@ DEFAULT_ENUMERATION_CAP = 12
 _ORACLE_CHUNK = 4096
 # the branch-and-bound scores at most this many tail labellings in one pass
 _TAIL_LABELLINGS = 1024
+# the floats one branch-and-bound pass and the nodes it leaves pending may hold
+_BATCH_FLOATS = 1 << 20
 
 # the heuristic call that seeds the incumbent
 _SEED_RESTARTS = 8
@@ -118,13 +153,6 @@ class SearchState:
     @property
     def n_assigned(self) -> int:
         return len(self.labels)
-
-    def group_sizes(self) -> list[int]:
-        opened = max(self.labels, default=0)
-        sizes = [0] * opened
-        for lab in self.labels:
-            sizes[lab - 1] += 1
-        return sizes
 
 
 def _label_strings(n: int, G: int, a: int, b: int):
@@ -237,10 +265,11 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     )
 
 
-def _suffix_table(d, t: int, a: int, b: int) -> list[list[float]]:
-    """``Q[s][i]``: the most that element ``u = t + i`` can gain from the
+def _suffix_table(d, t: int, a: int, b: int) -> np.ndarray:
+    """``Q[s, i]``: the most that element ``u = t + i`` can gain from the
     unassigned elements ``t..n-1`` that end up in its group, when it joins a
-    group holding ``s`` assigned members, for ``s = 0..b-1``.
+    group holding ``s`` assigned members, for ``s = 0..b-1``; row ``b`` is
+    ``-inf``, since a full group admits nobody.
 
     Each such pair counts at half weight (it is shared by both elements).
     ``u`` ends up with between ``a-1-s`` and ``b-1-s`` unassigned partners,
@@ -248,8 +277,8 @@ def _suffix_table(d, t: int, a: int, b: int) -> list[list[float]]:
     suffix plus the positive ones among the next ``b-a``.
     """
     n = len(d)
-    table: list[list[float]] = [[] for _ in range(b)]
-    for u in range(t, n):
+    table = np.full((b + 1, n - t), -math.inf)
+    for i, u in enumerate(range(t, n)):
         du = d[u]
         vals = sorted((0.5 * du[w] for w in range(t, n) if w != u), reverse=True)
         for s in range(b):
@@ -259,49 +288,51 @@ def _suffix_table(d, t: int, a: int, b: int) -> list[list[float]]:
                 if j >= lo and v <= 0.0:
                     break
                 q += v
-            table[s].append(q)
+            table[s, i] = q
     return table
 
 
-def _completion_bound(A, Qt, sizes, t: int, G: int, b: int) -> float:
-    """Admissible bound on the value the unassigned suffix ``t..n-1`` adds.
+def _completion_bounds(A: np.ndarray, sizes: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Admissible bounds on the value the unassigned suffix ``t..n-1`` adds,
+    one for each node of a batch.
 
-    ``A[g][u]`` is the signed sum of distances from ``u`` to the members
-    already in open group ``g``; ``Qt`` is ``_suffix_table(d, t, a, b)``.
-    The completion value splits over the unassigned elements as
-    ``sum_u A[g(u)][u] + 1/2 sum_{w unassigned, g(w) = g(u)} d[u][w]``,
-    because every pair of unassigned elements appears in both of their
-    terms. Each ``u`` joins exactly one group ``g``: an open group with room
-    (``s_g < b`` members), where it has between ``a-1-s_g`` and ``b-1-s_g``
-    unassigned partners, or, while fewer than ``G`` groups are open, a new
-    group. Its term is therefore at most the best of ``A[g][u] + Qt[s_g][u]``
-    over those open groups and ``Qt[0][u]`` for a new group. Returns
-    ``-inf`` only when some element has no group left to join, that is when
-    no completion exists.
+    ``A[f, g, i]`` is the signed sum of distances from ``u = t + i`` to the
+    members of group ``g`` at node ``f``, ``sizes[f, g]`` is that group's
+    size (both zero for a group not yet opened) and ``Q`` is
+    ``_suffix_table(d, t, a, b)``. The completion value splits over the
+    unassigned elements as ``sum_u A[g(u), u] + 1/2 sum_{w unassigned,
+    g(w) = g(u)} d[u][w]``, because every pair of unassigned elements
+    appears in both of their terms. Each ``u`` joins exactly one group
+    ``g`` with room, where it has between ``a-1-s_g`` and ``b-1-s_g``
+    unassigned partners, so its term is at most the best of ``A[f, g, i] +
+    Q[s_g, i]`` over the groups: an unopened group gives ``Q[0, i]`` and a
+    full one ``-inf``. The terms are added in index order, as a plain loop
+    adds them, so the bits do not depend on numpy's summation strategy.
+    ``-inf`` means that no completion exists.
     """
-    terms = [map(add, A[g][t:], Qt[s]) for g, s in enumerate(sizes) if s < b]
-    if len(sizes) < G:
-        terms.append(Qt[0])
-    if len(terms) > 1:
-        return sum(map(max, *terms))
-    if terms:
-        return sum(terms[0])
-    return -math.inf if Qt[0] else 0.0  # Qt[0] is empty once t == n
+    terms = Q[sizes]
+    terms += A
+    return terms.max(axis=-2).cumsum(axis=-1)[..., -1]
 
 
 def upper_bound(state: SearchState) -> float:
     """Admissible completion bound: never less than the best feasible
-    completion value minus the value already accumulated."""
+    completion value minus the value already accumulated.
+
+    The state is scored as a batch of one by the search's own bound.
+    """
     inst = state.instance
     n, t = inst.n, state.n_assigned
-    d = inst.dist.as_square().tolist()
-    A = [[0.0] * n for _ in range(inst.G)]
+    if t == n:
+        return 0.0
+    square = inst.dist.as_square()
+    A = np.zeros((1, inst.G, n - t))
+    sizes = np.zeros((1, inst.G), dtype=np.intp)
     for v, lab in enumerate(state.labels):
-        col, dv = A[lab - 1], d[v]
-        for u in range(t, n):
-            col[u] += dv[u]
-    Qt = _suffix_table(d, t, inst.a, inst.b)
-    return _completion_bound(A, Qt, state.group_sizes(), t, inst.G, inst.b)
+        A[0, lab - 1] += square[v, t:]
+        sizes[0, lab - 1] += 1
+    Q = _suffix_table(square.tolist(), t, inst.a, inst.b)
+    return float(_completion_bounds(A, sizes, Q)[0])
 
 
 def partial_value(state: SearchState) -> float:
@@ -323,8 +354,8 @@ class _Tail:
 
     The tail is the same suffix at every node that reaches it, so the
     labellings and their pair sums are built once per solve. Which of them
-    complete a prefix depends only on the prefix's open-group sizes; that
-    subset is built the first time a sizes tuple reaches the tail.
+    complete a prefix depends only on the prefix's group sizes; that subset
+    is built the first time a sizes tuple reaches the tail.
     """
 
     def __init__(self, square: np.ndarray, G: int, a: int, b: int):
@@ -348,15 +379,16 @@ class _Tail:
         self._fits: dict[tuple[int, ...], tuple] = {}
 
     def fits(self, sizes: tuple[int, ...]):
-        """For the prefix whose open groups have ``sizes``: the indices of the
-        labellings that complete it (new groups opened in label order, so
-        each completion appears once, and all G groups of size a..b), their
-        offsets into a flattened (G, R) array of the tail's gains, and their
-        pair sums."""
+        """For a prefix whose G groups have ``sizes`` (zero for the groups it
+        has not opened): the indices of the labellings that complete it (new
+        groups opened in label order, so each completion appears once, and
+        all G groups of size a..b), their offsets into a flattened (G, R)
+        array of the tail's gains, one row per tail position, and their pair
+        sums."""
         if sizes not in self._fits:
-            lab, k = self.labels, len(sizes)
-            size = np.zeros(self.G, dtype=np.intp)
-            size[:k] = sizes
+            lab = self.labels
+            size = np.array(sizes, dtype=np.intp)
+            k = np.count_nonzero(size)
             final = size[lab] + self._count
             ok = (
                 (lab <= np.maximum(self._before, k - 1) + 1)
@@ -367,9 +399,36 @@ class _Tail:
             short = size < self.a
             ok &= (self._first & short[lab]).sum(axis=1) == short.sum()
             idx = np.flatnonzero(ok)
-            offsets = lab[idx].astype(np.intp) * self.R + np.arange(self.R)
+            offsets = lab[idx].T.astype(np.intp) * self.R + np.arange(self.R)[:, None]
             self._fits[sizes] = (idx, offsets, self.pair_sums[idx])
         return self._fits[sizes]
+
+    def scores(self, sizes: tuple[int, ...], gains: np.ndarray):
+        """The labellings that complete a prefix with ``sizes``, as in
+        :meth:`fits`, and what each of them adds to each of a batch of such
+        prefixes, whose gains over the tail are the rows of ``gains``."""
+        idx, offsets, pair_sums = self.fits(sizes)
+        score = gains[:, offsets[0]]
+        for cols in offsets[1:]:
+            score += gains[:, cols]
+        return idx, score + pair_sums
+
+
+class _Nodes(NamedTuple):
+    """Search nodes at one depth ``t``, one row each: the value of the
+    assigned prefix, that value plus the node's completion bound, the sizes
+    of the G groups and the gains ``A[f, g, u - t]`` of every unassigned
+    ``u`` (zero for the groups not yet opened), and the labels of elements
+    ``0..t-1``."""
+
+    cur: np.ndarray
+    ub: np.ndarray
+    sizes: np.ndarray
+    A: np.ndarray
+    labels: np.ndarray
+
+    def take(self, rows) -> _Nodes:
+        return _Nodes(*(x[rows] for x in self))
 
 
 def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalResult:
@@ -388,89 +447,118 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     tail = _Tail(square, G, a, b)
     R = tail.R
     slack = _rounding_slack(instance)
-    # per branching depth t < n - R: the distances from element t to the
-    # elements after it, and the suffix table of its children's bound
-    levels = [(d[t][t + 1 :], _suffix_table(d, t + 1, a, b)) for t in range(n - R)]
-    # A[g][u]: distance sum from u to the members of group g, exact for every
-    # unassigned u; unopened groups stay all zero. Backtracking restores a
-    # saved slice instead of subtracting, so the sums never drift and A[g][t]
-    # is exactly the value element t adds by joining group g.
-    A = [[0.0] * n for _ in range(G)]
+    # the suffix table of the children of depth t, for every branching depth
+    tables = [_suffix_table(d, t + 1, a, b) for t in range(n - R)]
     node_budget = opts.node_budget
     deadline = None if opts.time_budget is None else time.monotonic() + opts.time_budget
     nodes = 0
     exhausted = False
-    labels0: list[int] = []
-    sizes: list[int] = []
 
-    def finish(cur: float):
-        # score every completion of the prefix at once; the fast sums decide
-        # only which labellings get an exact same_label_sum, in lexicographic
-        # order, so the first exact maximum wins and rounding picks nothing
+    def finish(batch: _Nodes):
+        # score every completion of every node at once, one pass per sizes
+        # tuple; the fast sums decide only which labellings get an exact
+        # same_label_sum, node by node in batch order and then in
+        # lexicographic order, so the first exact maximum wins and rounding
+        # picks nothing
         nonlocal best_value, best_grouping
-        t = n - R
-        idx, offsets, pair_sums = tail.fits(tuple(sizes))
-        gains = np.array([col[t:] for col in A]).ravel()
-        score = gains[offsets].sum(axis=1) + pair_sums
-        top, need = score.max(), best_value - cur
-        if top < need - slack:
-            return
-        full = np.array(labels0 + [0] * R)
-        for m in idx[score >= max(need, top) - slack]:
-            full[t:] = tail.labels[m]
-            value = dist.same_label_sum(full)
-            if value > best_value:
-                best_value, best_grouping = value, Grouping.from_labels(full.tolist())
-
-    def dfs(cur: float, deficit: int):
-        # deficit: elements still needed to lift every group to size a; the
-        # matching capacity check is implied by G*b >= n and sizes <= b
-        nonlocal nodes, exhausted
-        if (node_budget is not None and nodes >= node_budget) or (
-            deadline is not None and time.monotonic() >= deadline
-        ):
-            exhausted = True
-            return
-        nodes += 1
-        t = len(labels0)
-        if t == n - R:
-            finish(cur)
-            return
-
-        remaining = n - t - 1
-        k = len(sizes)
-        candidates = [(A[g][t], g) for g in range(k) if sizes[g] < b]
-        if k < G:
-            candidates.append((0.0, k))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-
-        tail_dist, Qt = levels[t]
-        for inc, g in candidates:
-            opens = g == k
-            child_deficit = deficit - 1 if opens or sizes[g] < a else deficit
-            if child_deficit > remaining:
+        gains = batch.A.reshape(len(batch.cur), -1)
+        keys, inverse = np.unique(batch.sizes, axis=0, return_inverse=True)
+        keys, inverse = [tuple(key) for key in keys.tolist()], inverse.ravel()
+        top = np.empty(len(inverse))
+        for j, key in enumerate(keys):
+            rows = inverse == j
+            top[rows] = tail.scores(key, gains[rows])[1].max(axis=1)
+        # the incumbent only rises within the batch, so a node below it now
+        # stays below it; the few nodes above it are scored again one by one
+        for f in np.flatnonzero(top >= best_value - batch.cur - slack):
+            need = best_value - batch.cur[f]
+            if top[f] < need - slack:
                 continue
-            if opens:
-                sizes.append(1)
-            else:
-                sizes[g] += 1
-            labels0.append(g)
-            col = A[g]
-            saved = col[t + 1 :]
-            col[t + 1 :] = map(add, saved, tail_dist)
-            child = cur + inc
-            if child + _completion_bound(A, Qt, sizes, t + 1, G, b) > best_value:
-                dfs(child, child_deficit)
-            col[t + 1 :] = saved
-            labels0.pop()
-            if opens:
-                sizes.pop()
-            else:
-                sizes[g] -= 1
-            if exhausted:
-                return
+            idx, score = tail.scores(keys[inverse[f]], gains[f : f + 1])
+            full = np.concatenate([batch.labels[f], np.zeros(R, dtype=np.intp)])
+            for m in idx[score[0] >= max(need, top[f]) - slack]:
+                full[n - R :] = tail.labels[m]
+                value = dist.same_label_sum(full)
+                if value > best_value:
+                    best_value, best_grouping = value, Grouping.from_labels(full.tolist())
 
-    dfs(0.0, G * a)
+    def joinable(sizes: np.ndarray, t: int) -> np.ndarray:
+        # the groups each node's element t may join: an open group with room
+        # or the first unopened one, so that the elements left after it can
+        # still lift every group to size a
+        deficit = np.maximum(a - sizes, 0).sum(axis=1, keepdims=True) - (sizes < a)
+        opened = np.count_nonzero(sizes, axis=1)[:, None]
+        return (np.arange(G) <= opened) & (sizes < b) & (deficit < n - t)
+
+    def expand(batch: _Nodes) -> _Nodes:
+        # every child (node, group) of the batch at once
+        t = batch.labels.shape[1]
+        ok = joinable(batch.sizes, t)
+        # children in depth-first order: node by node, and within a node by
+        # decreasing gain, then by group
+        inc = batch.A[:, :, 0]
+        order = np.argsort(np.where(ok, -inc, math.inf), axis=1, kind="stable")
+        f = np.repeat(np.arange(len(order)), G)
+        g = order.ravel()
+        keep = ok[f, g]
+        f, g = f[keep], g[keep]
+        A, child_sizes = batch.A[f, :, 1:], batch.sizes[f]
+        joined = np.arange(len(f)), g
+        A[joined] += square[t, t + 1 :]
+        child_sizes[joined] += 1
+        cur = batch.cur[f] + inc[f, g]
+        ub = cur + _completion_bounds(A, child_sizes, tables[t])
+        live = ub > best_value
+        labels = np.hstack([batch.labels[f], g[:, None]])
+        return _Nodes(cur, ub, child_sizes, A, labels).take(live)
+
+    root = _Nodes(np.zeros(1), np.full(1, math.inf), np.zeros((1, G), dtype=np.intp),
+                  np.zeros((1, G, n)), np.zeros((1, 0), dtype=np.intp))
+    stack = [root]
+    while stack:
+        batch = stack.pop()
+        t = batch.labels.shape[1]
+        # nodes per pass: a tail pass keeps its scores within _BATCH_FLOATS.
+        # A branching pass keeps its children, each at most G*(n-t) + n + G
+        # floats, within an equal share of it for every branching depth: the
+        # stack holds at most one part-done batch per depth, so the pending
+        # nodes stay within _BATCH_FLOATS too. A live node has a child, so
+        # the share's worth of children comes from that many nodes at most.
+        if t == n - R:
+            chunk = _BATCH_FLOATS // len(tail.labels)
+        else:
+            share = _BATCH_FLOATS // ((n - R) * (G * (n - t) + n + G))
+            counts = joinable(batch.sizes[: max(1, share)], t).sum(axis=1).cumsum()
+            chunk = np.searchsorted(counts, share, side="right")
+        chunk = max(1, chunk)
+        if chunk < len(batch.cur):
+            stack.append(batch.take(slice(chunk, None)))
+            batch = batch.take(slice(chunk))
+        live = batch.ub > best_value
+        if not live.all():
+            # the incumbent has risen since these nodes were bounded
+            batch = batch.take(live)
+            if not len(batch.cur):
+                continue
+        if deadline is not None and time.monotonic() >= deadline:
+            exhausted = True
+            break
+        if node_budget is not None and nodes + len(batch.cur) > node_budget:
+            # a node is left over: visit what the budget allows, then stop
+            exhausted = True
+            if nodes == node_budget:
+                break
+            batch = batch.take(slice(node_budget - nodes))
+        nodes += len(batch.cur)
+        if t == n - R:
+            finish(batch)
+        else:
+            children = expand(batch)
+            if len(children.cur):
+                stack.append(children)
+        if exhausted:
+            break
+
     return OptimalResult(
         value=best_value,
         grouping=best_grouping,

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from mdgp import (
     upper_bound,
     validate_grouping,
 )
+from mdgp import solver
 from mdgp.cli import gen_instance, parse_instance
+from mdgp.heuristic import HeuristicResult
 from conftest import TOL, random_instance, seeded_cases
 
 
@@ -264,6 +268,75 @@ def test_bnb_node_budget_semantics():
     assert runs[0].nodes_explored == runs[1].nodes_explored == 5
 
 
+def _first_feasible(instance, restarts, seed):
+    """A weak stand-in for the seed heuristic: the first feasible partition
+    in restricted-growth order, so the search itself must find the optimum."""
+    grouping = next(iter_feasible_partitions(instance))
+    value = objective_value(grouping, instance.dist)
+    return HeuristicResult(grouping, value, 1, 0, (value,))
+
+
+def test_bnb_budget_truncates_batches(monkeypatch):
+    # from a weak seed the full search takes K = 63 nodes in batches at six
+    # depths, raising the incumbent on the way; any smaller budget stops after
+    # exactly that many nodes, most of them inside a batch
+    monkeypatch.setattr(solver, "multistart", _first_feasible)
+    inst = random_instance(2, 11, 3, 3, 4)
+    full = solve_bnb(inst)
+    K = full.nodes_explored
+    assert full.proven and K == 63
+    assert full.value > _first_feasible(inst, 1, 0).value
+    for budget in range(1, K):
+        runs = [solve_bnb(inst, SolveOptions(node_budget=budget)) for _ in range(2)]
+        assert [r.nodes_explored for r in runs] == [budget, budget]
+        assert not runs[0].proven and not runs[1].proven
+        assert validate_grouping(runs[0].grouping, inst).feasible
+        assert objective_value(runs[0].grouping, inst.dist) == runs[0].value
+        assert (runs[0].value, runs[0].grouping) == (runs[1].value, runs[1].grouping)
+    for budget in (K, K + 1, 10 * K):
+        result = solve_bnb(inst, SolveOptions(node_budget=budget))
+        assert result.proven and result.nodes_explored == K
+        assert (result.value, result.grouping) == (full.value, full.grouping)
+    timed = solve_bnb(inst, SolveOptions(time_budget=1e-9))
+    seed = _first_feasible(inst, 1, 0)
+    assert not timed.proven and timed.nodes_explored == 0
+    assert (timed.value, timed.grouping) == (seed.value, canonicalize(seed.grouping))
+
+
+def test_bnb_meets_rounded_ties_with_a_weak_seed(monkeypatch):
+    # decimal distances tie in exact arithmetic but not always in floats; from
+    # a weak seed the tails themselves meet those ties, and one that rescored
+    # only its fastest-summed labelling could stop an ulp below the oracle.
+    # G = 2 makes the root the tail, G = 3 and 4 branch above it.
+    monkeypatch.setattr(solver, "multistart", _first_feasible)
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        n, G = 9, int(rng.integers(2, 5))
+        a = int(rng.integers(1, n // G + 1))
+        b = int(rng.integers(-(-n // G), n + 1))
+        inst = Instance(DistanceMatrix(n, rng.choice([0.1, 0.2, 0.3, 0.7], size=36)), G, a, b)
+        result = solve_bnb(inst)
+        assert result.proven
+        assert result.value == solve_bruteforce(inst).value
+
+
+def test_bnb_memory_stays_bounded_on_a_wide_search(monkeypatch):
+    # from a weak seed this G = 12 instance keeps a wide frontier at every
+    # depth. Passes are sized in floats, with a share for each depth that may
+    # hold pending nodes, so the peak is about 7 MB; sizing a pass by its own
+    # floats alone peaks near 71 MB, and at 4096 nodes a pass near 117 MB
+    monkeypatch.setattr(solver, "multistart", _first_feasible)
+    inst = random_instance(34, 34, 12, 1, 6, low=-100.0)
+    tracemalloc.start()
+    try:
+        result = solve_bnb(inst, SolveOptions(node_budget=5000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.nodes_explored == 5000 and not result.proven
+    assert peak < 32e6
+
+
 def test_bnb_signed_distances_regression():
     # negative entries made the completion bound inadmissible: B&B pruned the
     # optimum (312.7213) and reported 311.1236 as proven
@@ -277,8 +350,8 @@ def test_bnb_signed_distances_regression():
 
 
 @st.composite
-def _signed_instances(draw):
-    n = draw(st.integers(2, 8))
+def _signed_instances(draw, max_n=8):
+    n = draw(st.integers(2, max_n))
     G = draw(st.integers(1, n))
     a = draw(st.integers(1, n // G))
     b = draw(st.integers(-(-n // G), n))
@@ -307,6 +380,36 @@ def test_bound_along_optimal_prefixes_signed(inst):
     for t in range(inst.n + 1):
         state = SearchState(inst, prefix[:t])
         assert partial_value(state) + upper_bound(state) + TOL >= opt.value
+
+
+def _reference_bound(state):
+    """upper_bound as a plain loop: for each unassigned u in index order, the
+    best over the groups with room of u's distance sum to the group's members
+    plus its suffix-table term; a group not yet opened counts as empty."""
+    inst, t = state.instance, state.n_assigned
+    d = inst.dist.as_square().tolist()
+    Q = solver._suffix_table(d, t, inst.a, inst.b).tolist()
+    members = [[v for v, lab in enumerate(state.labels) if lab == g] for g in range(1, inst.G + 1)]
+    total = 0.0
+    for u in range(t, inst.n):
+        terms = [sum((d[v][u] for v in m), 0.0) + Q[len(m)][u - t] for m in members if len(m) < inst.b]
+        total += max(terms, default=-math.inf)
+    return total
+
+
+# the search adds the bound's terms in index order; numpy's pairwise sum,
+# which splits sums of eight or more terms, would move the bits and with them
+# the node counts
+@settings(max_examples=150, deadline=None)
+@given(_signed_instances(max_n=9))
+@example(random_instance(5, 9, 3, 2, 4, low=-100.0))
+@example(random_instance(6, 9, 2, 1, 8, low=-100.0))
+def test_bound_sums_in_index_order(inst):
+    opt = solve_bruteforce(inst)
+    prefix = tuple((opt.grouping.label_array() + 1).tolist())
+    for t in range(inst.n + 1):
+        state = SearchState(inst, prefix[:t])
+        assert upper_bound(state) == _reference_bound(state)
 
 
 def test_bnb_bound_tightness_regression():
@@ -357,6 +460,32 @@ def test_bnb_one_element_tail():
     assert result.proven
     assert result.value == inst.dist.condensed().max()
     assert objective_value(result.grouping, inst.dist) == result.value
+
+
+def test_tail_fits_are_the_restricted_growth_completions(monkeypatch):
+    # with at most 16 tail labellings R is 2 to 4 for G = 2..4, so prefixes
+    # of every reachable sizes tuple exist; each one's completions, in
+    # lexicographic order, are the tails of the feasible strings it starts,
+    # and each is scored as its gains plus its pair sum
+    monkeypatch.setattr(solver, "_TAIL_LABELLINGS", 16)
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        for G in range(1, min(n, 4) + 1):
+            for a in range(1, n // G + 1):
+                for b in range(max(a, -(-n // G)), n + 1):
+                    square = rng.uniform(-1, 1, (n, n))
+                    tail = solver._Tail(square + square.T, G, a, b)
+                    t = n - tail.R
+                    completions = {}
+                    for labels in solver._label_strings(n, G, a, b):
+                        completions.setdefault(tuple(labels[:t]), []).append(tuple(labels[t:]))
+                    gains = rng.uniform(-1, 1, (G, tail.R))
+                    for prefix, tails in completions.items():
+                        sizes = tuple(np.bincount(prefix, minlength=G).tolist())
+                        idx, score = tail.scores(sizes, gains.reshape(1, -1))
+                        assert [tuple(x) for x in tail.labels[idx].tolist()] == tails, (n, G, a, b, prefix)
+                        expected = [gains[x, range(tail.R)].sum() + tail.pair_sums[i] for x, i in zip(tails, idx)]
+                        assert score[0] == pytest.approx(expected)
 
 
 # (N, G, a, b, kind, seed) -> (nodes_explored, value.hex()): node counts do
