@@ -41,10 +41,13 @@ The search does not branch on the last ``R`` elements, where ``R`` is the
 largest ``r <= n`` with ``G**r <= 1024`` (at least 1). A batch of nodes that
 have assigned the first ``n - R`` elements scores every feasible labelling
 of the rest in one numpy pass per sizes tuple (:class:`_Tail`), and so does
-the root when ``n <= R``. Each such tail counts as one node:
-``nodes_explored`` counts the branching nodes plus the tails. A node budget
-truncates the batch that would exceed it, so ``nodes_explored`` never
-exceeds it; the deadline is checked before each batch.
+the root when ``n <= R``. A prefix's completions are the leaves of ``R``
+more levels of the branching rule, shared by every solve of the same ``(G,
+a, b, R)`` in a process and built by the first (:func:`_completions`). Each
+such tail counts as one node: ``nodes_explored`` counts the branching nodes
+plus the tails. A node budget truncates the batch that would exceed it, so
+``nodes_explored`` never exceeds it; the deadline is checked before each
+batch.
 
 Which nodes the search visits depends on their order only through the
 incumbent. While the incumbent stays fixed, and so whenever the seed is
@@ -70,11 +73,12 @@ below another.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from itertools import islice
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +92,9 @@ DEFAULT_ENUMERATION_CAP = 12
 _ORACLE_CHUNK = 4096
 # the branch-and-bound scores at most this many tail labellings in one pass
 _TAIL_LABELLINGS = 1024
+# tail completions kept across solves; an LRU smaller than the keys a
+# workload cycles through would miss on every lookup
+_COMPLETIONS_CACHE = 1024
 # the floats one branch-and-bound pass and the nodes it leaves pending may hold
 _BATCH_FLOATS = 1 << 20
 
@@ -104,14 +111,14 @@ class SolveOptions:
     time_budget: float | None = None
 
     def __post_init__(self):
-        budget = self.node_budget
-        if budget is not None and (
-            isinstance(budget, bool) or not isinstance(budget, Integral) or budget < 1
-        ):
-            raise ValueError("node_budget must be a positive integer")
-        # written so that NaN, which compares false with everything, fails too
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise ValueError("time_budget must be positive")
+        # bools are integers to Python, and "not > 0" also rejects NaN
+        checks = ("node_budget", Integral, "integer"), ("time_budget", Real, "number")
+        for name, kind, what in checks:
+            budget = getattr(self, name)
+            if budget is not None and (
+                isinstance(budget, bool) or not isinstance(budget, kind) or not budget > 0
+            ):
+                raise ValueError(f"{name} must be a positive {what}")
 
 
 @dataclass(frozen=True)
@@ -346,6 +353,35 @@ def partial_value(state: SearchState) -> float:
     return state.instance.dist.same_label_sum(lab)
 
 
+def _joinable(sizes: np.ndarray, left: int, a: int, b: int) -> np.ndarray:
+    """The branching rule, for rows of group sizes with ``left`` elements
+    unassigned: the next element may join an open group with room or the
+    first unopened one, if the rest can still lift every group to ``a``."""
+    deficit = np.maximum(a - sizes, 0).sum(axis=1, keepdims=True) - (sizes < a)
+    opened = np.count_nonzero(sizes, axis=1)[:, None]
+    return (np.arange(sizes.shape[1]) <= opened) & (sizes < b) & (deficit < left)
+
+
+@functools.lru_cache(maxsize=_COMPLETIONS_CACHE)
+def _completions(R: int, a: int, b: int, sizes: tuple[int, ...]):
+    """The completions of a prefix whose ``G = len(sizes)`` groups have
+    ``sizes``, the leaves of ``R`` levels of :func:`_joinable`: ascending
+    (lexicographic) indices among the ``G**R`` labellings of the last ``R``
+    elements and their labels, one row per position, read-only. For ``2 <= G
+    <= 256`` an entry takes at most 1024 * (10 + 2) bytes: a cache < 16 MB."""
+    G = len(sizes)
+    size, idx = np.array([sizes], dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for left in range(R, 0, -1):
+        f, g = np.nonzero(_joinable(size, left, a, b))
+        size = size[f]
+        size[np.arange(len(f)), g] += 1
+        idx = idx[f] * G + g
+    labels = (idx // G ** np.arange(R - 1, -1, -1)[:, None] % G).astype(np.min_scalar_type(G - 1))
+    idx = idx.astype(np.min_scalar_type(G**R - 1))
+    idx.flags.writeable = labels.flags.writeable = False
+    return idx, labels
+
+
 class _Tail:
     """Every labelling of the last ``R`` elements ``n-R..n-1``, in
     lexicographic order, with the sum of the tail pairs each one puts in a
@@ -353,9 +389,10 @@ class _Tail:
     ``_TAIL_LABELLINGS``, and at least 1.
 
     The tail is the same suffix at every node that reaches it, so the
-    labellings and their pair sums are built once per solve. Which of them
-    complete a prefix depends only on the prefix's group sizes; that subset
-    is built the first time a sizes tuple reaches the tail.
+    labellings and their pair sums are built once per solve. The ones that
+    complete a prefix come from the search's own branching rule
+    (:func:`_completions`); solves of the same ``(G, a, b, R)`` in a process
+    share them, and the first to meet a prefix's group sizes builds them.
     """
 
     def __init__(self, square: np.ndarray, G: int, a: int, b: int):
@@ -363,55 +400,24 @@ class _Tail:
         R = 1
         while R < n and G ** (R + 1) <= _TAIL_LABELLINGS:
             R += 1
-        self.G, self.a, self.b, self.R = G, a, b, R
+        self.a, self.b, self.R = a, b, R
         lab = np.arange(G**R)[:, None] // G ** np.arange(R - 1, -1, -1) % G
         self.labels = lab.astype(np.min_scalar_type(G - 1))
         iu, ju = np.triu_indices(R, k=1)
         within = square[n - R :, n - R :][iu, ju]
         self.pair_sums = np.where(lab[:, iu] == lab[:, ju], within, 0.0).sum(axis=1)
-        # per labelling and tail position: the largest label before it (-1 at
-        # the first), how often its label occurs in the tail, and whether it
-        # is that label's first occurrence
-        self._before = np.maximum.accumulate(np.hstack([np.full((len(lab), 1), -1), lab[:, :-1]]), axis=1)
-        same = lab[:, :, None] == lab[:, None, :]
-        self._count = same.sum(axis=2)
-        self._first = ~(same & np.tri(R, k=-1, dtype=bool)).any(axis=2)
-        self._fits: dict[tuple[int, ...], tuple] = {}
-
-    def fits(self, sizes: tuple[int, ...]):
-        """For a prefix whose G groups have ``sizes`` (zero for the groups it
-        has not opened): the indices of the labellings that complete it (new
-        groups opened in label order, so each completion appears once, and
-        all G groups of size a..b), their offsets into a flattened (G, R)
-        array of the tail's gains, one row per tail position, and their pair
-        sums."""
-        if sizes not in self._fits:
-            lab = self.labels
-            size = np.array(sizes, dtype=np.intp)
-            k = np.count_nonzero(size)
-            final = size[lab] + self._count
-            ok = (
-                (lab <= np.maximum(self._before, k - 1) + 1)
-                & (final >= self.a)
-                & (final <= self.b)
-            ).all(axis=1)
-            # a group left out of the tail keeps its size, so it must already reach a
-            short = size < self.a
-            ok &= (self._first & short[lab]).sum(axis=1) == short.sum()
-            idx = np.flatnonzero(ok)
-            offsets = lab[idx].T.astype(np.intp) * self.R + np.arange(self.R)[:, None]
-            self._fits[sizes] = (idx, offsets, self.pair_sums[idx])
-        return self._fits[sizes]
 
     def scores(self, sizes: tuple[int, ...], gains: np.ndarray):
-        """The labellings that complete a prefix with ``sizes``, as in
-        :meth:`fits`, and what each of them adds to each of a batch of such
-        prefixes, whose gains over the tail are the rows of ``gains``."""
-        idx, offsets, pair_sums = self.fits(sizes)
-        score = gains[:, offsets[0]]
-        for cols in offsets[1:]:
-            score += gains[:, cols]
-        return idx, score + pair_sums
+        """The indices of the labellings that complete a prefix with
+        ``sizes``, and what each of them adds to each of a batch of such
+        prefixes: its pair sum plus its gains, where row ``f`` of ``gains``
+        is prefix ``f``'s flattened (G, R) array of the tail's gains."""
+        idx, lab = _completions(self.R, self.a, self.b, sizes)
+        # column g * R + j of gains is group g's gain at tail position j
+        score = gains[:, 0 :: self.R].take(lab[0], axis=1)
+        for j in range(1, self.R):
+            score += gains[:, j :: self.R].take(lab[j], axis=1)
+        return idx, score + self.pair_sums[idx]
 
 
 class _Nodes(NamedTuple):
@@ -482,18 +488,10 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
                 if value > best_value:
                     best_value, best_grouping = value, Grouping.from_labels(full.tolist())
 
-    def joinable(sizes: np.ndarray, t: int) -> np.ndarray:
-        # the groups each node's element t may join: an open group with room
-        # or the first unopened one, so that the elements left after it can
-        # still lift every group to size a
-        deficit = np.maximum(a - sizes, 0).sum(axis=1, keepdims=True) - (sizes < a)
-        opened = np.count_nonzero(sizes, axis=1)[:, None]
-        return (np.arange(G) <= opened) & (sizes < b) & (deficit < n - t)
-
     def expand(batch: _Nodes) -> _Nodes:
         # every child (node, group) of the batch at once
         t = batch.labels.shape[1]
-        ok = joinable(batch.sizes, t)
+        ok = _joinable(batch.sizes, n - t, a, b)
         # children in depth-first order: node by node, and within a node by
         # decreasing gain, then by group
         inc = batch.A[:, :, 0]
@@ -528,7 +526,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
             chunk = _BATCH_FLOATS // len(tail.labels)
         else:
             share = _BATCH_FLOATS // ((n - R) * (G * (n - t) + n + G))
-            counts = joinable(batch.sizes[: max(1, share)], t).sum(axis=1).cumsum()
+            counts = _joinable(batch.sizes[: max(1, share)], n - t, a, b).sum(axis=1).cumsum()
             chunk = np.searchsorted(counts, share, side="right")
         chunk = max(1, chunk)
         if chunk < len(batch.cur):

@@ -488,6 +488,37 @@ def test_tail_fits_are_the_restricted_growth_completions(monkeypatch):
                         assert score[0] == pytest.approx(expected)
 
 
+def test_tail_completions_are_shared_safely(monkeypatch):
+    # completions are cached across solves by (R, a, b, sizes). With n = 6
+    # and G = 2 the root is the tail (R = 6), so every solve looks up the
+    # sizes tuple (0, 0); (1, 5) and (2, 5) share b, (1, 5) and (1, 3) share
+    # a. Distances in [90, 100) make the most unequal sizes that a pair of
+    # bounds allows its only optimum, so a completion leaked from looser
+    # bounds scores above the true optimum
+    solver._completions.cache_clear()
+    idx, labels = solver._completions(6, 1, 5, (0, 0))
+    for cached in (idx, labels):
+        with pytest.raises(ValueError):
+            cached[0] = 1
+    rng = np.random.default_rng(12)
+    six = DistanceMatrix(6, rng.uniform(90, 100, 15))
+    four = DistanceMatrix(4, rng.uniform(90, 100, 6))
+    bounds = [(1, 5), (2, 5), (1, 3)]
+    for a, b in bounds:
+        inst = Instance(six, 2, a, b)
+        exact, result = solve_bruteforce(inst), solve_bnb(inst)
+        assert (result.value, result.grouping.groups) == (exact.value, exact.grouping.groups), (a, b)
+    # one entry for each pair of bounds
+    assert solver._completions.cache_info().currsize == len(bounds)
+    # R is in the key too: with at most 16 tail labellings R = 4, so the six
+    # elements branch twice above the tail and the four-element root is a
+    # tail of (0, 0) again
+    monkeypatch.setattr(solver, "_TAIL_LABELLINGS", 16)
+    for inst in [Instance(six, 2, a, b) for a, b in bounds] + [Instance(four, 2, 1, 3)]:
+        exact, result = solve_bruteforce(inst), solve_bnb(inst)
+        assert (result.value, result.grouping.groups) == (exact.value, exact.grouping.groups)
+
+
 # (N, G, a, b, kind, seed) -> (nodes_explored, value.hex()): node counts do
 # not depend on the machine, so they pin the search itself
 NODE_GATE = {
@@ -528,7 +559,8 @@ def test_solve_options_validation():
         with pytest.raises(ValueError, match="node_budget"):
             SolveOptions(node_budget=budget)
     assert SolveOptions(node_budget=np.int64(40)).node_budget == 40
-    with pytest.raises(ValueError):
-        SolveOptions(time_budget=-1.0)
-    with pytest.raises(ValueError):
-        SolveOptions(time_budget=float("nan"))
+    for budget in (-1.0, 0, float("nan"), True, "5", [1]):
+        with pytest.raises(ValueError, match="time_budget"):
+            SolveOptions(time_budget=budget)
+    assert SolveOptions(time_budget=np.float32(0.5)).time_budget == 0.5
+    assert SolveOptions(time_budget=2).time_budget == 2
