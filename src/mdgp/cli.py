@@ -236,8 +236,6 @@ def _parse_kind(kind: str) -> tuple[int, int]:
         raise ValueError(
             f"unknown kind {kind!r}; use uniform1d, uniformkd:K or mixed:KNUM,KCAT"
         )
-    if max(k_num, k_cat) > sys.maxsize:
-        raise ValueError(f"column count in {kind!r} is too large")
     return k_num, k_cat
 
 
@@ -250,6 +248,11 @@ def gen_instance(n: int, g: int, a: int, b: int, kind: str = "uniform1d", seed: 
             f"got N={n}, G={g}, a={a}, b={b}"
         )
     k_num, k_cat = _parse_kind(kind)
+    # refused before any row is built: a million values is about 10 MB of text
+    if n * (k_num + k_cat) > 10**6:
+        raise ValueError(
+            f"column count in {kind!r} is too large: N={n} rows of it exceed 10**6 values"
+        )
     rng = SplitMix64(seed)
     alphabet = "abcd"
     lines = [
@@ -545,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=None,
                          help="seed, required for --solver heuristic")
     p_solve.add_argument("--time-limit", type=float, default=None,
-                         help="wall-clock budget in seconds for bnb")
+                         help="wall-clock budget in seconds for bnb, "
+                         "counted from the start: the heuristic seed uses it too")
     p_solve.add_argument("--json", action="store_true", help="machine-readable report")
     p_solve.add_argument("--export-lp", metavar="PATH", default=None,
                          help="write the ILP in LP format (without --solver: export only)")
@@ -577,7 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--a", type=int, required=True, help="lower size bound")
     p_gen.add_argument("--b", type=int, required=True, help="upper size bound")
     p_gen.add_argument("--kind", default="uniform1d",
-                       help="uniform1d | uniformkd:K | mixed:KNUM,KCAT")
+                       help="uniform1d | uniformkd:K | mixed:KNUM,KCAT "
+                       "(at most 10**6 values in all)")
     p_gen.add_argument("--seed", type=int, required=True, help="generator seed")
     p_gen.add_argument("--output", default=None, help="output path (default: stdout)")
     p_gen.set_defaults(func=_cmd_gen)

@@ -30,24 +30,28 @@ group's assigned members plus half its distances to the unassigned elements
 that join it; their number lies between ``a-1-s`` and ``b-1-s`` for a group
 with ``s`` assigned members. The unassigned elements are always a suffix
 ``t..n-1`` of the index order, so the second part depends only on
-``(t, u, s)`` and comes from a table built once per solve
-(:func:`_suffix_table`). The first part is kept per node, element and group,
-so a node costs ``O((n - t) * G)`` per child, without a sort. The bound
-holds for signed distances, and :func:`_completion_bounds` is its only
-implementation: :func:`upper_bound` replays a state through it as a batch of
-one.
+``(t, u, s)`` and comes from a table built once per solve out of the
+distance square, with one sort of each row of the suffix block and one
+running sum over it (:func:`_suffix_table`). The first part is kept per
+node, element and group, so a node costs ``O((n - t) * G)`` per child,
+without a sort. The bound holds for signed distances, and
+:func:`_completion_bounds` is its only implementation: :func:`upper_bound`
+replays a state through it as a batch of one.
 
 The search does not branch on the last ``R`` elements, where ``R`` is the
 largest ``r <= n`` with ``G**r <= 1024`` (at least 1). A batch of nodes that
 have assigned the first ``n - R`` elements scores every feasible labelling
-of the rest in one numpy pass per sizes tuple (:class:`_Tail`), and so does
-the root when ``n <= R``. A prefix's completions are the leaves of ``R``
-more levels of the branching rule, shared by every solve of the same ``(G,
-a, b, R)`` in a process and built by the first (:func:`_completions`). Each
-such tail counts as one node: ``nodes_explored`` counts the branching nodes
-plus the tails. A node budget truncates the batch that would exceed it, so
-``nodes_explored`` never exceeds it; the deadline is checked before each
-batch.
+of the rest, and so does the root when ``n <= R``: one numpy pass per sizes
+tuple adds each labelling's gains to the sum of the tail pairs it puts
+together, which every solve computes once for all ``G**R`` labellings, and
+the scores are kept for the exact rescoring below. A prefix's completions
+are the leaves of ``R`` more levels of the branching rule, shared by every
+solve of the same ``(G, a, b, R)`` in a process and built by the first
+(:func:`_completions`). Each such tail counts as one node:
+``nodes_explored`` counts the branching nodes plus the tails. A node budget
+truncates the batch that would exceed it, so ``nodes_explored`` never
+exceeds it. The time budget counts from the call, seed included; the
+deadline is checked before each batch.
 
 Which nodes the search visits depends on their order only through the
 incumbent. While the incumbent stays fixed, and so whenever the seed is
@@ -272,7 +276,7 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     )
 
 
-def _suffix_table(d, t: int, a: int, b: int) -> np.ndarray:
+def _suffix_table(square: np.ndarray, t: int, a: int, b: int) -> np.ndarray:
     """``Q[s, i]``: the most that element ``u = t + i`` can gain from the
     unassigned elements ``t..n-1`` that end up in its group, when it joins a
     group holding ``s`` assigned members, for ``s = 0..b-1``; row ``b`` is
@@ -281,21 +285,23 @@ def _suffix_table(d, t: int, a: int, b: int) -> np.ndarray:
     Each such pair counts at half weight (it is shared by both elements).
     ``u`` ends up with between ``a-1-s`` and ``b-1-s`` unassigned partners,
     so the value is the sum of its ``a-1-s`` largest half-distances into the
-    suffix plus the positive ones among the next ``b-a``.
+    suffix plus the positive ones among the next ``b-a``. Each row of the
+    suffix block of ``square`` is sorted once, largest first, and the value
+    is a running sum from ``0.0`` over the first terms, added in that order.
     """
-    n = len(d)
-    table = np.full((b + 1, n - t), -math.inf)
-    for i, u in enumerate(range(t, n)):
-        du = d[u]
-        vals = sorted((0.5 * du[w] for w in range(t, n) if w != u), reverse=True)
-        for s in range(b):
-            lo = a - 1 - s
-            q = 0.0
-            for j, v in enumerate(vals[: b - 1 - s]):
-                if j >= lo and v <= 0.0:
-                    break
-                q += v
-            table[s, i] = q
+    m = len(square) - t
+    half = 0.5 * square[t:, t:]
+    # u is not its own partner: its -inf sorts last and is dropped
+    np.fill_diagonal(half, -math.inf)
+    vals = np.sort(half, axis=1)[:, :0:-1]
+    sums = np.hstack([np.zeros((m, 1)), vals]).cumsum(axis=1)
+    # the a-1-s largest terms and the positive ones after them, at most
+    # b-1-s in all and at most the m-1 there are
+    s = np.arange(b)[:, None]
+    positive = (vals > 0).sum(axis=1)
+    taken = np.minimum(np.minimum(b - 1 - s, m - 1), np.maximum(a - 1 - s, positive))
+    table = np.full((b + 1, m), -math.inf)
+    table[:b] = sums[np.arange(m), taken]
     return table
 
 
@@ -306,7 +312,7 @@ def _completion_bounds(A: np.ndarray, sizes: np.ndarray, Q: np.ndarray) -> np.nd
     ``A[f, g, i]`` is the signed sum of distances from ``u = t + i`` to the
     members of group ``g`` at node ``f``, ``sizes[f, g]`` is that group's
     size (both zero for a group not yet opened) and ``Q`` is
-    ``_suffix_table(d, t, a, b)``. The completion value splits over the
+    ``_suffix_table(square, t, a, b)``. The completion value splits over the
     unassigned elements as ``sum_u A[g(u), u] + 1/2 sum_{w unassigned,
     g(w) = g(u)} d[u][w]``, because every pair of unassigned elements
     appears in both of their terms. Each ``u`` joins exactly one group
@@ -338,7 +344,7 @@ def upper_bound(state: SearchState) -> float:
     for v, lab in enumerate(state.labels):
         A[0, lab - 1] += square[v, t:]
         sizes[0, lab - 1] += 1
-    Q = _suffix_table(square.tolist(), t, inst.a, inst.b)
+    Q = _suffix_table(square, t, inst.a, inst.b)
     return float(_completion_bounds(A, sizes, Q)[0])
 
 
@@ -382,44 +388,6 @@ def _completions(R: int, a: int, b: int, sizes: tuple[int, ...]):
     return idx, labels
 
 
-class _Tail:
-    """Every labelling of the last ``R`` elements ``n-R..n-1``, in
-    lexicographic order, with the sum of the tail pairs each one puts in a
-    group together. ``R`` is the largest ``r <= n`` with ``G**r`` at most
-    ``_TAIL_LABELLINGS``, and at least 1.
-
-    The tail is the same suffix at every node that reaches it, so the
-    labellings and their pair sums are built once per solve. The ones that
-    complete a prefix come from the search's own branching rule
-    (:func:`_completions`); solves of the same ``(G, a, b, R)`` in a process
-    share them, and the first to meet a prefix's group sizes builds them.
-    """
-
-    def __init__(self, square: np.ndarray, G: int, a: int, b: int):
-        n = len(square)
-        R = 1
-        while R < n and G ** (R + 1) <= _TAIL_LABELLINGS:
-            R += 1
-        self.a, self.b, self.R = a, b, R
-        lab = np.arange(G**R)[:, None] // G ** np.arange(R - 1, -1, -1) % G
-        self.labels = lab.astype(np.min_scalar_type(G - 1))
-        iu, ju = np.triu_indices(R, k=1)
-        within = square[n - R :, n - R :][iu, ju]
-        self.pair_sums = np.where(lab[:, iu] == lab[:, ju], within, 0.0).sum(axis=1)
-
-    def scores(self, sizes: tuple[int, ...], gains: np.ndarray):
-        """The indices of the labellings that complete a prefix with
-        ``sizes``, and what each of them adds to each of a batch of such
-        prefixes: its pair sum plus its gains, where row ``f`` of ``gains``
-        is prefix ``f``'s flattened (G, R) array of the tail's gains."""
-        idx, lab = _completions(self.R, self.a, self.b, sizes)
-        # column g * R + j of gains is group g's gain at tail position j
-        score = gains[:, 0 :: self.R].take(lab[0], axis=1)
-        for j in range(1, self.R):
-            score += gains[:, j :: self.R].take(lab[j], axis=1)
-        return idx, score + self.pair_sums[idx]
-
-
 class _Nodes(NamedTuple):
     """Search nodes at one depth ``t``, one row each: the value of the
     assigned prefix, that value plus the node's completion bound, the sizes
@@ -441,6 +409,8 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     """Branch-and-bound exact search; proven optimum unless a budget runs out."""
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
+    # the budget covers the whole solve: the seed and the tables too
+    deadline = None if opts.time_budget is None else time.monotonic() + opts.time_budget
     n, G, a, b = instance.n, instance.G, instance.a, instance.b
     dist = instance.dist
 
@@ -449,41 +419,55 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     best_grouping = canonicalize(seed.grouping)
 
     square = dist.as_square()
-    d = square.tolist()
-    tail = _Tail(square, G, a, b)
-    R = tail.R
+    # the search leaves the last R elements to the tail: every labelling of
+    # them, in lexicographic order, and the sum of the tail pairs it groups
+    R = 1
+    while R < n and G ** (R + 1) <= _TAIL_LABELLINGS:
+        R += 1
+    lab = np.arange(G**R)[:, None] // G ** np.arange(R - 1, -1, -1) % G
+    iu, ju = np.triu_indices(R, k=1)
+    within = square[n - R :, n - R :][iu, ju]
+    pair_sums = np.where(lab[:, iu] == lab[:, ju], within, 0.0).sum(axis=1)
     slack = _rounding_slack(instance)
     # the suffix table of the children of depth t, for every branching depth
-    tables = [_suffix_table(d, t + 1, a, b) for t in range(n - R)]
+    tables = [_suffix_table(square, t + 1, a, b) for t in range(n - R)]
     node_budget = opts.node_budget
-    deadline = None if opts.time_budget is None else time.monotonic() + opts.time_budget
     nodes = 0
     exhausted = False
 
     def finish(batch: _Nodes):
-        # score every completion of every node at once, one pass per sizes
-        # tuple; the fast sums decide only which labellings get an exact
+        # score the completions of every node at once: the nodes sorted by
+        # sizes tuple, one pass over each tuple's run of nodes
+        nonlocal best_value, best_grouping
+        order = np.lexsort(batch.sizes.T[::-1])
+        sizes = batch.sizes[order]
+        # column g * R + j of gains is group g's gain at tail position j
+        gains = batch.A[order].reshape(len(order), -1)
+        starts = np.flatnonzero((sizes[1:] != sizes[:-1]).any(axis=1)) + 1
+        edges = [0, *starts.tolist(), len(order)]
+        top, runs = np.empty(len(order)), []
+        for key, lo, hi in zip(sizes[edges[:-1]].tolist(), edges, edges[1:]):
+            idx, labels = _completions(R, a, b, tuple(key))
+            score = gains[lo:hi, 0::R].take(labels[0], axis=1)
+            for j in range(1, R):
+                score += gains[lo:hi, j::R].take(labels[j], axis=1)
+            score += pair_sums[idx]
+            top[order[lo:hi]] = score.max(axis=1)
+            runs.append((lo, labels, score))
+        rank = np.argsort(order)
+        # the fast sums decide only which labellings get an exact
         # same_label_sum, node by node in batch order and then in
         # lexicographic order, so the first exact maximum wins and rounding
-        # picks nothing
-        nonlocal best_value, best_grouping
-        gains = batch.A.reshape(len(batch.cur), -1)
-        keys, inverse = np.unique(batch.sizes, axis=0, return_inverse=True)
-        keys, inverse = [tuple(key) for key in keys.tolist()], inverse.ravel()
-        top = np.empty(len(inverse))
-        for j, key in enumerate(keys):
-            rows = inverse == j
-            top[rows] = tail.scores(key, gains[rows])[1].max(axis=1)
-        # the incumbent only rises within the batch, so a node below it now
-        # stays below it; the few nodes above it are scored again one by one
+        # picks nothing. The incumbent only rises within the batch, so a
+        # node below it now stays below it
         for f in np.flatnonzero(top >= best_value - batch.cur - slack):
             need = best_value - batch.cur[f]
             if top[f] < need - slack:
                 continue
-            idx, score = tail.scores(keys[inverse[f]], gains[f : f + 1])
+            lo, labels, score = runs[np.searchsorted(starts, rank[f], side="right")]
             full = np.concatenate([batch.labels[f], np.zeros(R, dtype=np.intp)])
-            for m in idx[score[0] >= max(need, top[f]) - slack]:
-                full[n - R :] = tail.labels[m]
+            for k in np.flatnonzero(score[rank[f] - lo] >= max(need, top[f]) - slack):
+                full[n - R :] = labels[:, k]
                 value = dist.same_label_sum(full)
                 if value > best_value:
                     best_value, best_grouping = value, Grouping.from_labels(full.tolist())
@@ -523,7 +507,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
         # nodes stay within _BATCH_FLOATS too. A live node has a child, so
         # the share's worth of children comes from that many nodes at most.
         if t == n - R:
-            chunk = _BATCH_FLOATS // len(tail.labels)
+            chunk = _BATCH_FLOATS // G**R
         else:
             share = _BATCH_FLOATS // ((n - R) * (G * (n - t) + n + G))
             counts = _joinable(batch.sizes[: max(1, share)], n - t, a, b).sum(axis=1).cumsum()

@@ -387,13 +387,18 @@ def test_cmd_gen_bad_bounds(capsys):
 
 
 def test_cmd_gen_column_count_too_large(capsys):
-    # a count that does not fit an index fails before anything is allocated
-    for kind in ("uniformkd:99999999999999999999", "mixed:1,99999999999999999999"):
-        code = main(["gen", "--n", "4", "--g", "2", "--a", "2", "--b", "2",
+    # a count whose rows could not be held fails before anything is
+    # allocated, whether or not it fits an index, and so does a total of
+    # columns that is too large only at this N
+    kinds = ("uniformkd:99999999999999999999", "mixed:1,99999999999999999999",
+             "uniformkd:99999999999", "mixed:0,99999999999", "mixed:100000,100000")
+    for kind in kinds:
+        code = main(["gen", "--n", "6", "--g", "2", "--a", "3", "--b", "3",
                      "--kind", kind, "--seed", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error:") and "too large" in captured.err
+        assert repr(kind) in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
 

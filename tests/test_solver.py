@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -248,7 +249,7 @@ def test_bnb_matches_oracle_on_random_instances():
         exact = solve_bruteforce(inst)
         bnb = solve_bnb(inst)
         assert bnb.proven
-        assert bnb.value == pytest.approx(exact.value, abs=TOL)
+        assert abs(bnb.value - exact.value) <= solver._rounding_slack(inst)
         assert validate_grouping(bnb.grouping, inst).feasible
         assert objective_value(bnb.grouping, inst.dist) == bnb.value
 
@@ -303,6 +304,21 @@ def test_bnb_budget_truncates_batches(monkeypatch):
     assert (timed.value, timed.grouping) == (seed.value, canonicalize(seed.grouping))
 
 
+def test_time_budget_covers_the_seed(monkeypatch):
+    # the deadline is taken on entry, so a seed that outlasts the budget
+    # leaves no time to search: no node is visited and the seed is returned
+    def slow_seed(instance, restarts, seed):
+        time.sleep(0.2)
+        return _first_feasible(instance, restarts, seed)
+
+    monkeypatch.setattr(solver, "multistart", slow_seed)
+    inst = random_instance(2, 11, 3, 3, 4)
+    result = solve_bnb(inst, SolveOptions(time_budget=0.1))
+    seed = _first_feasible(inst, 1, 0)
+    assert not result.proven and result.nodes_explored == 0
+    assert (result.value, result.grouping) == (seed.value, canonicalize(seed.grouping))
+
+
 def test_bnb_meets_rounded_ties_with_a_weak_seed(monkeypatch):
     # decimal distances tie in exact arithmetic but not always in floats; from
     # a weak seed the tails themselves meet those ties, and one that rescored
@@ -345,7 +361,7 @@ def test_bnb_signed_distances_regression():
     exact = solve_bruteforce(inst)
     bnb = solve_bnb(inst)
     assert bnb.proven
-    assert bnb.value == pytest.approx(exact.value, abs=TOL)
+    assert abs(bnb.value - exact.value) <= solver._rounding_slack(inst)
     assert bnb.value == pytest.approx(312.7213, abs=1e-4)
 
 
@@ -365,7 +381,7 @@ def test_bnb_matches_oracle_on_signed_distances(inst):
     exact = solve_bruteforce(inst)
     bnb = solve_bnb(inst)
     assert bnb.proven
-    assert bnb.value == pytest.approx(exact.value, abs=TOL)
+    assert abs(bnb.value - exact.value) <= solver._rounding_slack(inst)
     assert validate_grouping(bnb.grouping, inst).feasible
     assert objective_value(bnb.grouping, inst.dist) == bnb.value
 
@@ -382,13 +398,56 @@ def test_bound_along_optimal_prefixes_signed(inst):
         assert partial_value(state) + upper_bound(state) + TOL >= opt.value
 
 
+def _reference_suffix_table(d, t, a, b):
+    """_suffix_table as a plain loop over a list-of-lists square: for each u
+    in t..n-1 and s = 0..b-1, add u's half-distances into the suffix, largest
+    first, taking the a-1-s largest and then the positive ones, up to b-1-s
+    in all; row b is -inf."""
+    n = len(d)
+    table = np.full((b + 1, n - t), -math.inf)
+    for i, u in enumerate(range(t, n)):
+        vals = sorted((0.5 * d[u][w] for w in range(t, n) if w != u), reverse=True)
+        for s in range(b):
+            q = 0.0
+            for j, v in enumerate(vals[: b - 1 - s]):
+                if j >= a - 1 - s and v <= 0.0:
+                    break
+                q += v
+            table[s, i] = q
+    return table
+
+
+def test_suffix_table_equals_the_plain_loop():
+    # signed, integer-tied and decimal-tied distances, zeros among them, at
+    # every depth t including the empty suffix t = n; the bits must agree,
+    # since the search's node counts depend on them
+    rng = np.random.default_rng(13)
+    draws = [
+        lambda k: rng.uniform(-100, 100, k),
+        lambda k: rng.integers(-2, 3, k).astype(float),
+        lambda k: rng.choice([0.0, 0.1, 0.2, 0.3, 0.7], k),
+    ]
+    for rep in range(60):
+        n = int(rng.integers(1, 11))
+        G = int(rng.integers(1, n + 1))
+        a = int(rng.integers(1, n // G + 1))
+        b = int(rng.integers(-(-n // G), n + 1))
+        square = DistanceMatrix(n, draws[rep % 3](n * (n - 1) // 2)).as_square()
+        d = square.tolist()
+        for t in range(n + 1):
+            got = solver._suffix_table(square, t, a, b)
+            expected = _reference_suffix_table(d, t, a, b)
+            assert got.shape == expected.shape == (b + 1, n - t)
+            assert got.tobytes() == expected.tobytes(), (rep, n, a, b, t)
+
+
 def _reference_bound(state):
     """upper_bound as a plain loop: for each unassigned u in index order, the
     best over the groups with room of u's distance sum to the group's members
     plus its suffix-table term; a group not yet opened counts as empty."""
     inst, t = state.instance, state.n_assigned
     d = inst.dist.as_square().tolist()
-    Q = solver._suffix_table(d, t, inst.a, inst.b).tolist()
+    Q = _reference_suffix_table(d, t, inst.a, inst.b).tolist()
     members = [[v for v, lab in enumerate(state.labels) if lab == g] for g in range(1, inst.G + 1)]
     total = 0.0
     for u in range(t, inst.n):
@@ -462,30 +521,27 @@ def test_bnb_one_element_tail():
     assert objective_value(result.grouping, inst.dist) == result.value
 
 
-def test_tail_fits_are_the_restricted_growth_completions(monkeypatch):
+def test_tail_fits_are_the_restricted_growth_completions():
     # with at most 16 tail labellings R is 2 to 4 for G = 2..4, so prefixes
     # of every reachable sizes tuple exist; each one's completions, in
     # lexicographic order, are the tails of the feasible strings it starts,
-    # and each is scored as its gains plus its pair sum
-    monkeypatch.setattr(solver, "_TAIL_LABELLINGS", 16)
-    rng = np.random.default_rng(5)
+    # and each index is its labelling's rank among the G**R in that order.
+    # How the search scores them is checked end to end, against the oracle
     for n in range(1, 9):
         for G in range(1, min(n, 4) + 1):
+            R = max([r for r in range(1, n + 1) if G**r <= 16], default=1)
+            t = n - R
             for a in range(1, n // G + 1):
                 for b in range(max(a, -(-n // G)), n + 1):
-                    square = rng.uniform(-1, 1, (n, n))
-                    tail = solver._Tail(square + square.T, G, a, b)
-                    t = n - tail.R
                     completions = {}
                     for labels in solver._label_strings(n, G, a, b):
                         completions.setdefault(tuple(labels[:t]), []).append(tuple(labels[t:]))
-                    gains = rng.uniform(-1, 1, (G, tail.R))
                     for prefix, tails in completions.items():
                         sizes = tuple(np.bincount(prefix, minlength=G).tolist())
-                        idx, score = tail.scores(sizes, gains.reshape(1, -1))
-                        assert [tuple(x) for x in tail.labels[idx].tolist()] == tails, (n, G, a, b, prefix)
-                        expected = [gains[x, range(tail.R)].sum() + tail.pair_sums[i] for x, i in zip(tails, idx)]
-                        assert score[0] == pytest.approx(expected)
+                        idx, tail_labels = solver._completions(R, a, b, sizes)
+                        assert [tuple(x) for x in tail_labels.T.tolist()] == tails, (n, G, a, b, prefix)
+                        ranks = [sum(g * G ** (R - 1 - j) for j, g in enumerate(x)) for x in tails]
+                        assert idx.tolist() == ranks
 
 
 def test_tail_completions_are_shared_safely(monkeypatch):
