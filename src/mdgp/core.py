@@ -90,7 +90,8 @@ class DistanceMatrix:
     __slots__ = ("n", "_condensed")
 
     def __init__(self, n: int, condensed):
-        condensed = np.asarray(condensed, dtype=float)
+        # a copy, so neither the caller's array nor a base it views can change it
+        condensed = np.array(condensed, dtype=float)
         if n < 1:
             raise ValueError("element count must be >= 1")
         expected = n * (n - 1) // 2
@@ -116,6 +117,9 @@ class DistanceMatrix:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("expected a square matrix")
+        # before symmetry: NaN != NaN would read as an asymmetric matrix
+        if not np.all(np.isfinite(m)):
+            raise ValueError("all distances must be finite")
         if not np.array_equal(m, m.T):
             raise ValueError("matrix is not symmetric")
         if np.any(np.diag(m) != 0.0):

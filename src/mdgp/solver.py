@@ -6,7 +6,9 @@ benchmarked against. :func:`solve_bnb` assigns elements in index order with
 symmetry breaking (a new group always takes the lowest unused label), prunes
 on capacity and on an admissible completion bound against a single incumbent
 seeded by the heuristic, and returns a proven optimum unless a node/time
-budget runs out first.
+budget runs out first. One branching rule (:func:`_joinable`) decides every
+branch. The oracle, the partition iterators, the count and the search's tail
+take their strings from one enumerator of its leaves (:func:`_leaves`).
 
 A node is a symmetry-broken assignment of the first ``t`` elements. The
 search is depth-first over batches of nodes: a stack holds arrays of nodes of
@@ -45,8 +47,8 @@ of the rest, and so does the root when ``n <= R``: one numpy pass per sizes
 tuple adds each labelling's gains to the sum of the tail pairs it puts
 together, which every solve computes once for all ``G**R`` labellings, and
 the scores are kept for the exact rescoring below. A prefix's completions
-are the leaves of ``R`` more levels of the branching rule, shared by every
-solve of the same ``(G, a, b, R)`` in a process and built by the first
+are the :func:`_leaves` of ``R`` more levels of the branching rule, shared by
+every solve of the same ``(G, a, b, R)`` in a process and built by the first
 (:func:`_completions`). Each such tail counts as one node:
 ``nodes_explored`` counts the branching nodes plus the tails. A node budget
 truncates the batch that would exceed it, so ``nodes_explored`` never
@@ -81,7 +83,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from itertools import islice
 from numbers import Integral, Real
 from typing import NamedTuple
 
@@ -92,8 +93,6 @@ from .heuristic import multistart
 
 DEFAULT_ENUMERATION_CAP = 12
 
-# label strings the oracle scores in one numpy pass
-_ORACLE_CHUNK = 4096
 # the branch-and-bound scores at most this many tail labellings in one pass
 _TAIL_LABELLINGS = 1024
 # tail completions kept across solves; an LRU smaller than the keys a
@@ -166,49 +165,61 @@ class SearchState:
         return len(self.labels)
 
 
-def _label_strings(n: int, G: int, a: int, b: int):
-    """Restricted-growth strings of 0-based labels for n elements, in
-    lexicographic order: at most G labels, each used at most b times, and
-    (when a >= 1) all G used at least a times.
+def _joinable(sizes: np.ndarray, left: int, a: int, b: int) -> np.ndarray:
+    """The branching rule, for rows of group sizes with ``left`` elements
+    unassigned: the next element may join an open group with room or the
+    first unopened one, if the rest can still lift every group to ``a``."""
+    deficit = np.maximum(a - sizes, 0).sum(axis=1, keepdims=True) - (sizes < a)
+    opened = np.count_nonzero(sizes, axis=1)[:, None]
+    return (np.arange(sizes.shape[1]) <= opened) & (sizes < b) & (deficit < left)
 
-    Yields one list, rewritten in place between yields. Prunes with the
-    running deficit of :func:`solve_bnb`; capacity is implied by G*b >= n.
-    """
-    labels = [0] * n
-    sizes = [0] * G
 
-    def rec(t: int, k: int, deficit: int):
-        if t == n:
+def _leaves(k: int, a: int, b: int, sizes: tuple[int, ...]):
+    """The leaves of ``k`` levels of :func:`_joinable` below a prefix whose
+    ``G = len(sizes)`` groups have ``sizes``: the 0-based labels of the next
+    ``k`` elements, in lexicographic order, yielded as arrays of rows.
+
+    The walk is depth-first over batches, as in :func:`solve_bnb`: a pass
+    expands at most ``_BATCH_FLOATS // (k*G*(k+G))`` nodes and the stack
+    holds at most one part-done batch per level, so the pending nodes stay
+    within ``_BATCH_FLOATS`` values."""
+    G = len(sizes)
+    chunk = max(1, _BATCH_FLOATS // (k * G * (k + G)))
+    stack = [(np.array([sizes], dtype=np.intp), np.zeros((1, 0), dtype=np.intp))]
+    while stack:
+        size, labels = stack.pop()
+        if len(labels) > chunk:
+            stack.append((size[chunk:], labels[chunk:]))
+            size, labels = size[:chunk], labels[:chunk]
+        t = labels.shape[1]
+        if t == k:
             yield labels
-            return
-        for g in range(min(k + 1, G)):
-            child = deficit - 1 if sizes[g] < a else deficit
-            if sizes[g] >= b or child > n - t - 1:
-                continue
-            sizes[g] += 1
-            labels[t] = g
-            yield from rec(t + 1, k + (g == k), child)
-            sizes[g] -= 1
-
-    yield from rec(0, 0, G * a)
+            continue
+        f, g = np.nonzero(_joinable(size, k - t, a, b))
+        size = size[f]
+        size[np.arange(len(f)), g] += 1
+        stack.append((size, np.hstack([labels[f], g[:, None]])))
 
 
 def iter_set_partitions(n: int):
-    """All partitions of {1..n} into any number of groups, canonical order."""
+    """All partitions of {1..n} into any number of groups, canonical order,
+    taken from :func:`_leaves` in bounded batches."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for labels in _label_strings(n, n, 0, n):
-        yield Grouping.from_labels(labels)
+    for rows in _leaves(n, 0, n, (0,) * n):
+        for labels in rows.tolist():
+            yield Grouping.from_labels(labels)
 
 
 def iter_feasible_partitions(instance: Instance):
     """Partitions into exactly G groups with every size in [a, b].
 
-    Enumeration uses restricted-growth strings with capacity pruning; each
-    yielded grouping is canonical (groups ordered by smallest member).
+    The strings come from :func:`_leaves` in bounded batches; each yielded
+    grouping is canonical (groups ordered by smallest member).
     """
-    for labels in _label_strings(instance.n, instance.G, instance.a, instance.b):
-        yield Grouping.from_labels(labels)
+    for rows in _leaves(instance.n, instance.a, instance.b, (0,) * instance.G):
+        for labels in rows.tolist():
+            yield Grouping.from_labels(labels)
 
 
 def _check_cap(n: int, cap: int, what: str):
@@ -221,7 +232,7 @@ def _check_cap(n: int, cap: int, what: str):
 def count_feasible_partitions(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of distinct feasible partitions (exhaustive; capped)."""
     _check_cap(instance.n, cap, "exhaustive-enumeration")
-    return sum(1 for _ in _label_strings(instance.n, instance.G, instance.a, instance.b))
+    return sum(len(rows) for rows in _leaves(instance.n, instance.a, instance.b, (0,) * instance.G))
 
 
 def _rounding_slack(instance: Instance) -> float:
@@ -240,9 +251,9 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     """Enumerate every feasible partition and return the proven optimum.
 
     Ties are broken toward the lexicographically smallest canonical grouping.
-    Strings are scored in chunks by one masked sum each; only those within
-    rounding of the best so far are rescored with ``same_label_sum``, in
-    order, so value and tie are those of scoring every string that way.
+    Each batch from :func:`_leaves` is scored by one masked sum; only strings
+    within rounding of the best so far are rescored with ``same_label_sum``,
+    in order, so value and tie are those of scoring every string that way.
     """
     _check_cap(instance.n, cap, "exhaustive-enumeration")
     t0 = time.perf_counter()
@@ -253,9 +264,7 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     best: Grouping | None = None
     best_value = float("-inf")
     count = 0
-    strings = map(tuple, _label_strings(instance.n, instance.G, instance.a, instance.b))
-    while chunk := list(islice(strings, _ORACLE_CHUNK)):
-        labels = np.array(chunk, dtype=np.min_scalar_type(instance.G - 1))
+    for labels in _leaves(instance.n, instance.a, instance.b, (0,) * instance.G):
         count += len(labels)
         fast = np.where(labels[:, iu] == labels[:, ju], pair_dist, 0.0).sum(axis=1)
         for row in labels[fast >= max(best_value, fast.max()) - slack]:
@@ -359,31 +368,17 @@ def partial_value(state: SearchState) -> float:
     return state.instance.dist.same_label_sum(lab)
 
 
-def _joinable(sizes: np.ndarray, left: int, a: int, b: int) -> np.ndarray:
-    """The branching rule, for rows of group sizes with ``left`` elements
-    unassigned: the next element may join an open group with room or the
-    first unopened one, if the rest can still lift every group to ``a``."""
-    deficit = np.maximum(a - sizes, 0).sum(axis=1, keepdims=True) - (sizes < a)
-    opened = np.count_nonzero(sizes, axis=1)[:, None]
-    return (np.arange(sizes.shape[1]) <= opened) & (sizes < b) & (deficit < left)
-
-
 @functools.lru_cache(maxsize=_COMPLETIONS_CACHE)
 def _completions(R: int, a: int, b: int, sizes: tuple[int, ...]):
     """The completions of a prefix whose ``G = len(sizes)`` groups have
-    ``sizes``, the leaves of ``R`` levels of :func:`_joinable`: ascending
+    ``sizes``, the :func:`_leaves` of ``R`` levels below it: ascending
     (lexicographic) indices among the ``G**R`` labellings of the last ``R``
     elements and their labels, one row per position, read-only. For ``2 <= G
     <= 256`` an entry takes at most 1024 * (10 + 2) bytes: a cache < 16 MB."""
     G = len(sizes)
-    size, idx = np.array([sizes], dtype=np.intp), np.zeros(1, dtype=np.intp)
-    for left in range(R, 0, -1):
-        f, g = np.nonzero(_joinable(size, left, a, b))
-        size = size[f]
-        size[np.arange(len(f)), g] += 1
-        idx = idx[f] * G + g
-    labels = (idx // G ** np.arange(R - 1, -1, -1)[:, None] % G).astype(np.min_scalar_type(G - 1))
-    idx = idx.astype(np.min_scalar_type(G**R - 1))
+    labels = np.concatenate(list(_leaves(R, a, b, sizes)))
+    idx = (labels @ G ** np.arange(R - 1, -1, -1)).astype(np.min_scalar_type(G**R - 1))
+    labels = labels.T.astype(np.min_scalar_type(G - 1), order="C")
     idx.flags.writeable = labels.flags.writeable = False
     return idx, labels
 

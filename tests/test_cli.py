@@ -89,6 +89,77 @@ def test_parse_wrong_row_width():
         parse_instance("3 1 3 3\nDIST\n1\n3\n")
 
 
+def _gen_kind(kind):
+    return gen_instance(6, 2, 3, 3, kind=kind, seed=1)
+
+
+# (reader, text, message, line): every input error the readers raise, with
+# the line it names (None for an error that belongs to no line)
+INPUT_ERRORS = {
+    "empty-file": (parse_instance, "# only a comment\n\n", "empty instance file", None),
+    "header-not-integer": (parse_instance, "3 1 3 x\nDIST\n1 2\n3\n",
+                           "header must be 4 integers: N G a b", 1),
+    "missing-section": (parse_instance, "# header only\n3 1 3 3\n",
+                        "missing DIST or ATTR section", 2),
+    "dist-arguments": (parse_instance, "3 1 3 3\nDIST 2\n1 2\n3\n", "DIST takes no arguments", 2),
+    "dist-row-count": (parse_instance, "3 1 3 3\nDIST\n1 2\n",
+                       "DIST body needs 2 rows, found 1", 2),
+    "attr-no-count": (parse_instance, "3 1 3 3\nATTR\nnum\n1\n2\n3\n",
+                      "ATTR needs a column count: ATTR K", 2),
+    "attr-count-not-integer": (parse_instance, "3 1 3 3\nATTR one\nnum\n1\n2\n3\n",
+                               "ATTR needs an integer column count", 2),
+    "attr-no-schema": (parse_instance, "3 1 3 3\n\nATTR 1\n# no schema\n",
+                       "missing schema line after ATTR", 3),
+    "attr-bad-schema": (parse_instance, "3 1 3 3\nATTR 2\nnum int\n1 2\n2 3\n3 4\n",
+                        "schema line needs 2 kinds (num|cat)", 3),
+    "attr-row-count": (parse_instance, "3 1 3 3\nATTR 1\nnum\n1\n2\n",
+                       "ATTR body needs 3 rows, found 2", 3),
+    "attr-row-width": (parse_instance, "3 1 3 3\nATTR 1\nnum\n1\n2 3\n4\n",
+                       "row needs 1 values, found 2", 5),
+    "attr-malformed-value": (parse_instance, "3 1 3 3\nATTR 2\nnum cat\n1 a\n2 b\nx c\n",
+                             "malformed numeric value 'x'", 6),
+    "unknown-section": (parse_instance, "3 1 3 3\nDISTANCES\n1 2\n3\n",
+                        "expected DIST or ATTR, found 'DISTANCES'", 2),
+    "uniformkd-0": (_gen_kind, "uniformkd:0", "uniformkd needs at least one column", None),
+    "mixed-0-0": (_gen_kind, "mixed:0,0", "mixed needs at least one column", None),
+    "empty-solution": (parse_solution, "# no groups\n\n", "empty solution file", None),
+}
+
+
+def _shown(message, line):
+    return message if line is None else f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("name", list(INPUT_ERRORS))
+def test_input_errors_name_their_line(name):
+    reader, text, message, line = INPUT_ERRORS[name]
+    with pytest.raises(ValueError) as info:
+        reader(text)
+    assert str(info.value) == _shown(message, line)
+    assert getattr(info.value, "line", None) == line
+
+
+@pytest.mark.parametrize("name", ["missing-section", "attr-bad-schema", "attr-malformed-value",
+                                  "uniformkd-0", "empty-solution"])
+def test_input_errors_exit_2_through_main(name, tmp_path, capsys):
+    reader, text, message, line = INPUT_ERRORS[name]
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    worked = tmp_path / "worked.txt"
+    worked.write_text(WORKED_FILE)
+    if reader is parse_instance:
+        argv = ["solve", "--input", str(path)]
+    elif reader is parse_solution:
+        argv = ["verify", "--input", str(worked), "--solution", str(path)]
+    else:
+        argv = ["gen", "--n", "6", "--g", "2", "--a", "3", "--b", "3", "--kind", text,
+                "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {_shown(message, line)}\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # gen_instance
 # ---------------------------------------------------------------------------
@@ -505,9 +576,15 @@ def test_cmd_solve_bad_numeric_flags(worked_file, capsys):
 # exact reports: stdout, stderr and exit code, elapsed times masked
 # ---------------------------------------------------------------------------
 
-N13_FILE = "13 3 4 5\nDIST\n" + "".join(
-    " ".join(str(i * j % 7 + 1) for j in range(i + 1, 14)) + "\n" for i in range(1, 13)
-)
+def _mod_seven_file(n, g, a, b):
+    """DIST instance text with d(i, j) = i*j mod 7 + 1."""
+    return f"{n} {g} {a} {b}\nDIST\n" + "".join(
+        " ".join(str(i * j % 7 + 1) for j in range(i + 1, n + 1)) + "\n" for i in range(1, n)
+    )
+
+
+N12_FILE = _mod_seven_file(12, 3, 3, 5)
+N13_FILE = _mod_seven_file(13, 3, 4, 5)
 
 
 def _json_text(report: dict) -> str:
@@ -589,20 +666,87 @@ EXACT_CASES = {
         }),
         "",
     ),
+    "heuristic-gap-text": (
+        ["solve", "--input", "{n12}", "--solver", "heuristic", "--seed", "2", "--restarts", "1"],
+        0,
+        "instance: n=12 G=3 a=3 b=5\n"
+        "solver: heuristic\n"
+        "value: 101\n"
+        "groups: {1,4,5,12} {2,3,6,9,10} {7,8,11}\n"
+        "proven: no\n"
+        "nodes: 0\n"
+        "elapsed: 0.0 ms\n"
+        "gap vs exact optimum: 2\n",
+        "",
+    ),
+    "demonstrate-text": (
+        ["demonstrate"],
+        0,
+        "worked example: six elements valued 1..6, manhattan, G=3, a=2, b=3\n"
+        "correct formulation optimum: 9\n"
+        "  attained by: {1,5} {2,4} {3,6}\n"
+        "degree-bounds-only optimum (any group count): 16\n"
+        "  attained by: {1,3,6} {2,4,5} (2 groups, not 3)\n"
+        "  full-model rows violated by that encoding: lcount\n"
+        "correct: 9, degree-only: 16, violated: lcount\n",
+        "",
+    ),
+    "verify-json": (
+        ["verify", "--input", "{worked}", "--solution", "{sol}", "--json"],
+        0,
+        _json_text({
+            "instance": {"n": 6, "G": 3, "a": 2, "b": 3},
+            "solver": "verify",
+            "value": 9.0,
+            "groups": [[1, 5], [2, 4], [3, 6]],
+            "feasible": True,
+            "violations": [],
+            "elapsed_ms": 0.0,
+        }),
+        "",
+    ),
+    "verify-violations-text": (
+        ["verify", "--input", "{worked}", "--solution", "{two_groups}"],
+        2,
+        "instance: n=6 G=3 a=2 b=3\n"
+        "solution: {1,3,6} {2,4,5}\n"
+        "value: 16\n"
+        "feasible: no\n"
+        "  - group count 2 != G=3\n",
+        "",
+    ),
+    "gen-stdout": (
+        ["gen", "--n", "5", "--g", "2", "--a", "2", "--b", "3", "--kind", "mixed:1,2",
+         "--seed", "3"],
+        0,
+        "# generated: kind=mixed:1,2 seed=3\n"
+        "5 2 2 3\n"
+        "ATTR 3\n"
+        "num cat cat\n"
+        "11.345034 b b\n"
+        "7.286674 c d\n"
+        "13.514586 c c\n"
+        "88.852940 a d\n"
+        "48.016450 d a\n",
+        "",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(EXACT_CASES))
 def test_cmd_exact_output(name, tmp_path, capsys):
-    paths = {
-        "worked": tmp_path / "worked.txt",
-        "n13": tmp_path / "n13.txt",
-        "sol13": tmp_path / "sol13.txt",
-        "lp": tmp_path / "model.lp",
+    texts = {
+        "worked": WORKED_FILE,
+        "sol": "1 5\n2 4\n3 6\n",
+        "two_groups": "1 3 6\n2 4 5\n",
+        "n12": N12_FILE,
+        "n13": N13_FILE,
+        "sol13": "1 2 3 4\n5 6 7 8\n9 10 11 12 13\n",
     }
-    paths["worked"].write_text(WORKED_FILE)
-    paths["n13"].write_text(N13_FILE)
-    paths["sol13"].write_text("1 2 3 4\n5 6 7 8\n9 10 11 12 13\n")
+    paths = {key: tmp_path / f"{key}.txt" for key in texts}
+    for key, text in texts.items():
+        paths[key].write_text(text)
+    paths["lp"] = tmp_path / "model.lp"
     fill = {key: str(path) for key, path in paths.items()}
     argv, code, out, err = EXACT_CASES[name]
     assert main([arg.format(**fill) for arg in argv]) == code

@@ -359,6 +359,24 @@ def test_distance_matrix_rejects_overflowing_sum():
     assert DistanceMatrix(3, [1e307, -1e307, 1e307]).n == 3
 
 
+def test_distance_matrix_copies_its_input():
+    base = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    d = DistanceMatrix(4, base.view())
+    assert base.flags.writeable
+    base[0] = 1000.0
+    assert d.condensed().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    assert d.lookup(1, 2) == 1.0
+    assert not d.condensed().flags.writeable
+
+
+def test_distance_matrix_from_square_reports_non_finite_entries():
+    # NaN != NaN: checked for symmetry first, a NaN read as an asymmetric matrix
+    nan, inf = math.nan, math.inf
+    for matrix in ([[nan]], [[0.0, nan], [nan, 0.0]], [[0.0, inf], [inf, 0.0]]):
+        with pytest.raises(ValueError, match="all distances must be finite"):
+            DistanceMatrix.from_square(matrix)
+
+
 def test_distance_matrix_from_square_checks_symmetry():
     with pytest.raises(ValueError):
         DistanceMatrix.from_square([[0.0, 1.0], [2.0, 0.0]])

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import time
@@ -43,39 +44,76 @@ def test_set_partition_counts_are_bell_numbers():
         assert sum(1 for _ in iter_set_partitions(n)) == expected
 
 
-def _filtered_label_tuples(n, G, a, b):
-    """Reference enumeration: every label tuple in lexicographic order, kept
-    when it is a restricted-growth string (each label at most one above the
-    largest before it) and each of the G labels is used a..b times; returned
-    as groups ordered by label."""
+@functools.lru_cache(maxsize=None)
+def _restricted_growth_tuples(n, G):
+    """Every label tuple of n elements over G labels, in lexicographic order,
+    kept when each label is at most one above the largest before it."""
     kept = []
     for labels in itertools.product(range(G), repeat=n):
-        if all(lab <= 1 + max(labels[:t], default=-1) for t, lab in enumerate(labels)) and all(
-            a <= labels.count(g) <= b for g in range(G)
-        ):
-            top = max(labels)
-            kept.append(tuple(
-                tuple(e + 1 for e in range(n) if labels[e] == g) for g in range(top + 1)
-            ))
+        if all(lab <= 1 + max(labels[:t], default=-1) for t, lab in enumerate(labels)):
+            kept.append(labels)
     return kept
 
 
+def _filtered_label_tuples(n, G, a, b):
+    """Reference enumeration: the restricted-growth tuples of n elements in
+    lexicographic order, kept when each of the G labels is used a..b times."""
+    return [
+        labels for labels in _restricted_growth_tuples(n, G)
+        if all(a <= labels.count(g) <= b for g in range(G))
+    ]
+
+
+def _groups_of(labels):
+    """The 1-based groups of a label tuple, ordered by label."""
+    return tuple(
+        tuple(e + 1 for e, lab in enumerate(labels) if lab == g) for g in range(max(labels) + 1)
+    )
+
+
 def test_feasible_enumeration_matches_filtered_partitions():
-    for n in range(1, 8):
-        for G in range(1, min(n, 4) + 1):
+    for n in range(1, 9):
+        for G in range(1, min(n, 4 if n < 8 else 3) + 1):
             lo, hi = n // G, -(-n // G)
             for a, b in sorted({(1, n), (1, hi), (lo, hi), (lo, n), (lo, lo)}):
                 if a > b or not G * a <= n <= G * b:
                     continue
                 inst = random_instance(n, n, G, a, b)
                 got = [g.groups for g in iter_feasible_partitions(inst)]
-                assert got == _filtered_label_tuples(n, G, a, b), (n, G, a, b)
+                expected = [_groups_of(x) for x in _filtered_label_tuples(n, G, a, b)]
+                assert got == expected, (n, G, a, b)
+                assert count_feasible_partitions(inst) == len(expected), (n, G, a, b)
 
 
 def test_set_partitions_match_filtered_label_tuples():
     for n in range(1, 7):
         got = [g.groups for g in iter_set_partitions(n)]
-        assert got == _filtered_label_tuples(n, n, 0, n)
+        assert got == [_groups_of(x) for x in _filtered_label_tuples(n, n, 0, n)]
+
+
+def test_enumeration_does_not_depend_on_the_batch_size(monkeypatch):
+    # a pass of the enumerator expands at most _BATCH_FLOATS // (k*G*(k+G))
+    # nodes and leaves the rest of its batch pending. At the default size no
+    # walk above is split, so smaller sizes check that a split keeps the
+    # lexicographic order: one node per pass, and a handful
+    cases = [(7, 3, 2, 3), (8, 2, 1, 7), (8, 3, 2, 4), (6, 4, 1, 3)]
+    tails = [(6, 1, 5, (0, 0)), (4, 1, 3, (1, 0, 0)), (3, 2, 4, (2, 1, 0, 0))]
+    expected_tails = [solver._completions.__wrapped__(*key) for key in tails]
+    for floats in (1, 2000):
+        monkeypatch.setattr(solver, "_BATCH_FLOATS", floats)
+        for n, G, a, b in cases:
+            inst = random_instance(n, n, G, a, b)
+            expected = [_groups_of(x) for x in _filtered_label_tuples(n, G, a, b)]
+            assert [g.groups for g in iter_feasible_partitions(inst)] == expected
+            assert count_feasible_partitions(inst) == len(expected)
+            result = solve_bruteforce(inst)
+            got = (result.value, result.grouping.groups, result.nodes_explored)
+            assert got == _oracle_reference(inst), (floats, n, G, a, b)
+        got = [g.groups for g in iter_set_partitions(6)]
+        assert got == [_groups_of(x) for x in _filtered_label_tuples(6, 6, 0, 6)]
+        for key, (idx, labels) in zip(tails, expected_tails):
+            got_idx, got_labels = solver._completions.__wrapped__(*key)
+            assert got_idx.tobytes() == idx.tobytes() and got_labels.tobytes() == labels.tobytes()
 
 
 def test_count_worked_example(worked_instance):
@@ -524,7 +562,8 @@ def test_bnb_one_element_tail():
 def test_tail_fits_are_the_restricted_growth_completions():
     # with at most 16 tail labellings R is 2 to 4 for G = 2..4, so prefixes
     # of every reachable sizes tuple exist; each one's completions, in
-    # lexicographic order, are the tails of the feasible strings it starts,
+    # lexicographic order, are the tails of the feasible strings it starts
+    # (filtered from every label tuple, not enumerated by the search's rule),
     # and each index is its labelling's rank among the G**R in that order.
     # How the search scores them is checked end to end, against the oracle
     for n in range(1, 9):
@@ -534,8 +573,8 @@ def test_tail_fits_are_the_restricted_growth_completions():
             for a in range(1, n // G + 1):
                 for b in range(max(a, -(-n // G)), n + 1):
                     completions = {}
-                    for labels in solver._label_strings(n, G, a, b):
-                        completions.setdefault(tuple(labels[:t]), []).append(tuple(labels[t:]))
+                    for labels in _filtered_label_tuples(n, G, a, b):
+                        completions.setdefault(labels[:t], []).append(labels[t:])
                     for prefix, tails in completions.items():
                         sizes = tuple(np.bincount(prefix, minlength=G).tolist())
                         idx, tail_labels = solver._completions(R, a, b, sizes)
