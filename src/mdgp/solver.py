@@ -12,19 +12,19 @@ take their strings from one enumerator of its leaves (:func:`_leaves`).
 
 A node is a symmetry-broken assignment of the first ``t`` elements. The
 search is depth-first over batches of nodes: a stack holds arrays of nodes of
-one depth, and one numpy pass expands a batch into every child (node, group),
-where the group is an open group with room or the first unopened one. The
-pass drops the children whose remaining elements cannot lift every group to
-size ``a``, bounds the rest, and keeps those whose value plus bound exceeds
-the incumbent. Children follow their parents' order, and a node's children
+one depth, and one numpy pass makes and bounds every child (node, group) of a
+batch that :func:`_joinable` allows: an open group with room or the first
+unopened one, so long as the remaining elements can still lift every group
+to size ``a``. Children follow their parents' order, and a node's children
 go by decreasing gain, then by group, so the nodes of every depth are
 visited in the order a node-by-node depth-first search would visit them
-(batch order). A batch larger than one pass is split and its rest waits on
-the stack. A pass is sized in floats, with an equal share of
-``_BATCH_FLOATS`` for each depth that may hold pending nodes, so the
-pending nodes stay within it however wide the frontier grows. A node taken
-off the stack whose bound no longer beats the incumbent is dropped
-uncounted.
+(batch order). The loop alone compares nodes with the incumbent: a batch
+taken off the stack first drops, uncounted, every node whose value plus
+bound no longer exceeds it. A batch larger than one pass is then split and
+its rest waits on the stack. A pass is sized in floats, with an equal share
+of ``_BATCH_FLOATS`` for each depth that may hold pending nodes, so the
+pending nodes stay within it however wide the frontier grows; the
+:func:`_joinable` mask that sizes a branching pass also makes its children.
 
 The completion bound is a single-group bound. Every unassigned element ends
 up in exactly one group, where it gains its exact distance sum to the
@@ -58,8 +58,8 @@ deadline is checked before each batch.
 Which nodes the search visits depends on their order only through the
 incumbent. While the incumbent stays fixed, and so whenever the seed is
 already optimal, the search visits exactly the nodes a node-by-node
-depth-first search visits. When it rises, a batch may have bounded some of
-its nodes against the older value, so the count can differ slightly.
+depth-first search visits. When it rises, the nodes of a pass have been
+compared with the older value, so the count can differ slightly.
 
 The search is deterministic: for a given instance and node budget it always
 visits the same nodes and returns the same value and grouping. It replaces
@@ -467,33 +467,36 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
                 if value > best_value:
                     best_value, best_grouping = value, Grouping.from_labels(full.tolist())
 
-    def expand(batch: _Nodes) -> _Nodes:
-        # every child (node, group) of the batch at once
+    def expand(batch: _Nodes, ok: np.ndarray) -> _Nodes:
+        # every child (node, group) the branching rule ``ok`` allows, made and
+        # bounded at once, in depth-first order: node by node, and within a
+        # node by decreasing gain, then by group
         t = batch.labels.shape[1]
-        ok = _joinable(batch.sizes, n - t, a, b)
-        # children in depth-first order: node by node, and within a node by
-        # decreasing gain, then by group
         inc = batch.A[:, :, 0]
         order = np.argsort(np.where(ok, -inc, math.inf), axis=1, kind="stable")
-        f = np.repeat(np.arange(len(order)), G)
-        g = order.ravel()
-        keep = ok[f, g]
-        f, g = f[keep], g[keep]
+        f, j = np.nonzero(np.take_along_axis(ok, order, axis=1))
+        g = order[f, j]
         A, child_sizes = batch.A[f, :, 1:], batch.sizes[f]
         joined = np.arange(len(f)), g
         A[joined] += square[t, t + 1 :]
         child_sizes[joined] += 1
         cur = batch.cur[f] + inc[f, g]
         ub = cur + _completion_bounds(A, child_sizes, tables[t])
-        live = ub > best_value
         labels = np.hstack([batch.labels[f], g[:, None]])
-        return _Nodes(cur, ub, child_sizes, A, labels).take(live)
+        return _Nodes(cur, ub, child_sizes, A, labels)
 
     root = _Nodes(np.zeros(1), np.full(1, math.inf), np.zeros((1, G), dtype=np.intp),
                   np.zeros((1, G, n)), np.zeros((1, 0), dtype=np.intp))
     stack = [root]
     while stack:
         batch = stack.pop()
+        # the only comparison with the incumbent: a node whose bound no
+        # longer beats it is dropped here, uncounted
+        live = batch.ub > best_value
+        if not live.all():
+            batch = batch.take(live)
+            if not len(batch.cur):
+                continue
         t = batch.labels.shape[1]
         # nodes per pass: a tail pass keeps its scores within _BATCH_FLOATS.
         # A branching pass keeps its children, each at most G*(n-t) + n + G
@@ -505,18 +508,12 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
             chunk = _BATCH_FLOATS // G**R
         else:
             share = _BATCH_FLOATS // ((n - R) * (G * (n - t) + n + G))
-            counts = _joinable(batch.sizes[: max(1, share)], n - t, a, b).sum(axis=1).cumsum()
-            chunk = np.searchsorted(counts, share, side="right")
+            ok = _joinable(batch.sizes[: max(1, share)], n - t, a, b)
+            chunk = np.searchsorted(ok.sum(axis=1).cumsum(), share, side="right")
         chunk = max(1, chunk)
         if chunk < len(batch.cur):
             stack.append(batch.take(slice(chunk, None)))
             batch = batch.take(slice(chunk))
-        live = batch.ub > best_value
-        if not live.all():
-            # the incumbent has risen since these nodes were bounded
-            batch = batch.take(live)
-            if not len(batch.cur):
-                continue
         if deadline is not None and time.monotonic() >= deadline:
             exhausted = True
             break
@@ -530,9 +527,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
         if t == n - R:
             finish(batch)
         else:
-            children = expand(batch)
-            if len(children.cur):
-                stack.append(children)
+            stack.append(expand(batch, ok[: len(batch.cur)]))
         if exhausted:
             break
 

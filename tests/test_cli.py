@@ -705,6 +705,16 @@ EXACT_CASES = {
         }),
         "",
     ),
+    "verify-oracle-gap-text": (
+        ["verify", "--input", "{worked}", "--solution", "{pairs}", "--against-oracle"],
+        0,
+        "instance: n=6 G=3 a=2 b=3\n"
+        "solution: {1,2} {3,4} {5,6}\n"
+        "value: 3\n"
+        "feasible: yes\n"
+        "gap vs exact optimum: 6\n",
+        "",
+    ),
     "verify-violations-text": (
         ["verify", "--input", "{worked}", "--solution", "{two_groups}"],
         2,
@@ -739,6 +749,7 @@ def test_cmd_exact_output(name, tmp_path, capsys):
         "worked": WORKED_FILE,
         "sol": "1 5\n2 4\n3 6\n",
         "two_groups": "1 3 6\n2 4 5\n",
+        "pairs": "1 2\n3 4\n5 6\n",
         "n12": N12_FILE,
         "n13": N13_FILE,
         "sol13": "1 2 3 4\n5 6 7 8\n9 10 11 12 13\n",

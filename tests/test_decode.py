@@ -137,6 +137,19 @@ def test_audit_two_leaders_in_one_block():
     assert audit.failures
 
 
+def test_audit_group_count_mismatch():
+    # a feasible two-group encoding audited against G=3: the leaders are
+    # sound, only the count fails
+    g = Grouping([(1, 3, 6), (2, 4, 5)])
+    asg = encode_grouping(g, "unequal")
+    report = build_report(decode_partition(asg.x, 6), asg.y)
+    audit = verify_group_count(report, asg.y, G=3)
+    assert audit.one_leader_per_group and audit.minima_are_leaders
+    assert not audit.group_count_matches
+    assert audit.failures == ("decoded group count 2 != G=3",)
+    assert not audit.all_hold
+
+
 def test_audit_block_minimum_without_leader():
     g = Grouping([(1, 2), (3, 4)])
     asg = encode_grouping(g, "unequal")

@@ -342,6 +342,31 @@ def test_bnb_budget_truncates_batches(monkeypatch):
     assert (timed.value, timed.grouping) == (seed.value, canonicalize(seed.grouping))
 
 
+def test_bnb_does_not_depend_on_the_batch_size(monkeypatch):
+    # passes sized from _BATCH_FLOATS split batches in different places, and
+    # the incumbent rises between passes, so node counts may move; value,
+    # grouping and proof may not. One-node passes also pop batches that the
+    # incumbent has wholly overtaken since they were bounded
+    rng = np.random.default_rng(15)
+    cases = []
+    for k in range(12):
+        n, G = int(rng.integers(7, 12)), int(rng.integers(3, 5))
+        a = int(rng.integers(1, n // G + 1))
+        b = int(rng.integers(-(-n // G), n + 1))
+        cases.append(random_instance(100 + k, n, G, a, b, low=-100.0 * (k % 2)))
+    default = solver._BATCH_FLOATS
+    for seed in (solver.multistart, _first_feasible):
+        monkeypatch.setattr(solver, "multistart", seed)
+        monkeypatch.setattr(solver, "_BATCH_FLOATS", default)
+        expected = [solve_bnb(inst) for inst in cases]
+        for floats in (1, 64, 4096):
+            monkeypatch.setattr(solver, "_BATCH_FLOATS", floats)
+            for inst, want in zip(cases, expected):
+                got = solve_bnb(inst)
+                assert (got.value.hex(), got.grouping, got.proven) == (
+                    want.value.hex(), want.grouping, want.proven), (seed, floats)
+
+
 def test_time_budget_covers_the_seed(monkeypatch):
     # the deadline is taken on entry, so a seed that outlasts the budget
     # leaves no time to search: no node is visited and the seed is returned
