@@ -5,17 +5,17 @@ metaheuristics but to give the exact solvers something to benchmark, so the
 emphasis is on determinism: identical (seed, restarts) always produce the
 identical grouping, on any platform.
 
-Local search keeps the delta matrix of the MDGP metaheuristics literature
+Both phases keep the delta matrix of the MDGP metaheuristics literature
 (Gallego et al. 2013; Lai & Hao 2016): an n×G array ``W`` whose entry
-``W[u, g]`` is the sum of ``d[u, w]`` over the members w of group g. Each
-swap or move delta is a few entries of ``W`` and ``d``, so one step scores
-every candidate in a handful of numpy operations, and an accepted step
-updates two columns of ``W`` in O(n). ``W`` is built and updated by
-elementwise column additions, never a matrix product, so it does not depend
-on a BLAS library or its thread count. Deltas within a fixed tolerance
-``tol = 1e-9 · max|d| · b`` count as tied and go to the smallest move
-descriptor, and a step must gain more than tol, so the trajectory does not
-depend on float summation order either.
+``W[u, g]`` is the sum of ``d[u, w]`` over the members w of group g. Greedy
+construction reads its rows. Each swap or move delta is a few entries of
+``W`` and ``d``, so one step scores every candidate in a handful of numpy
+operations, and an accepted step updates two columns of ``W`` in O(n). ``W``
+is built and updated by elementwise column additions, never a matrix
+product, so it does not depend on a BLAS library or its thread count. Deltas
+within a fixed tolerance ``tol = 1e-9 · max|d| · b`` count as tied and go to
+the smallest move descriptor, and a step must gain more than tol, so the
+trajectory does not depend on float summation order either.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class HeuristicResult:
 def greedy_construct(instance: Instance, seed: int) -> Grouping:
     """Open G groups with random distinct seed elements, then place the rest.
 
-    Elements are consumed in a shuffled order; each goes to the group with
-    the largest incremental distance sum among groups that still leave the
+    Elements are consumed in a shuffled order; each goes to the first group
+    with the largest gain ``W[e - 1, g]`` among groups that still leave the
     remaining elements able to fill every group up to the lower bound.
     The result is always feasible for a valid instance.
     """
@@ -55,6 +55,7 @@ def greedy_construct(instance: Instance, seed: int) -> Grouping:
     seed_set = set(seeds)
     rest = [e for e in elements if e not in seed_set]
     rng.shuffle(rest)
+    W = d[:, np.array(seeds) - 1]  # members are added in the order they join
 
     for idx, e in enumerate(rest):
         left_after = len(rest) - idx - 1
@@ -66,11 +67,11 @@ def greedy_construct(instance: Instance, seed: int) -> Grouping:
         for g, members in enumerate(groups):
             if len(members) >= b or deficit - (len(members) < a) > left_after:
                 continue
-            inc = sum(d[e - 1][m - 1] for m in members)
-            if inc > best_inc:
-                best_g, best_inc = g, inc
+            if W[e - 1, g] > best_inc:
+                best_g, best_inc = g, W[e - 1, g]
         assert best_g >= 0, "valid instances always leave a feasible group"
         groups[best_g].append(e)
+        W[:, best_g] += d[:, e - 1]
 
     return Grouping(groups)
 

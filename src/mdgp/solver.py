@@ -7,8 +7,9 @@ symmetry breaking (a new group always takes the lowest unused label), prunes
 on capacity and on an admissible completion bound against a single incumbent
 seeded by the heuristic, and returns a proven optimum unless a node/time
 budget runs out first. One branching rule (:func:`_joinable`) decides every
-branch. The oracle, the partition iterators, the count and the search's tail
-take their strings from one enumerator of its leaves (:func:`_leaves`).
+branch, and every prefix a :class:`SearchState` accepts. The oracle, the
+partition iterators, the count and the search's tail take their strings
+from one enumerator of its leaves (:func:`_leaves`).
 
 A node is a symmetry-broken assignment of the first ``t`` elements. The
 search is depth-first over batches of nodes: a stack holds arrays of nodes of
@@ -88,7 +89,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Grouping, Instance, canonicalize
+from .core import Grouping, Instance, _pair_index, canonicalize
 from .heuristic import multistart
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -135,9 +136,10 @@ class OptimalResult:
 
 @dataclass(frozen=True)
 class SearchState:
-    """A symmetry-broken partial assignment: 1-based group labels for the
-    first ``len(labels)`` elements; a label may exceed the running maximum
-    by at most one."""
+    """A search node: 1-based group labels for the first ``len(labels)``
+    elements, each allowed by :func:`_joinable`: it joins an open group with
+    room or the first unopened one, and the rest can still lift every group
+    to ``a``. So every accepted prefix has a feasible completion."""
 
     instance: Instance
     labels: tuple[int, ...]
@@ -148,17 +150,14 @@ class SearchState:
         object.__setattr__(self, "labels", labels)
         if len(labels) > inst.n:
             raise ValueError("more labels than elements")
-        opened = 0
-        sizes: dict[int, int] = {}
-        for lab in labels:
+        sizes = np.zeros((1, inst.G), dtype=np.intp)
+        for t, lab in enumerate(labels):
             if not (1 <= lab <= inst.G):
                 raise ValueError(f"group label {lab} outside 1..{inst.G}")
-            if lab > opened + 1:
-                raise ValueError("labels must open groups in order (symmetry breaking)")
-            opened = max(opened, lab)
-            sizes[lab] = sizes.get(lab, 0) + 1
-            if sizes[lab] > inst.b:
-                raise ValueError(f"group {lab} exceeds upper size bound {inst.b}")
+            if not _joinable(sizes, inst.n - t, inst.a, inst.b)[0, lab - 1]:
+                raise ValueError(f"element {t + 1} cannot join group {lab}: the branching "
+                                 f"rule (symmetry breaking, sizes {inst.a}..{inst.b}) refuses it")
+            sizes[0, lab - 1] += 1
 
     @property
     def n_assigned(self) -> int:
@@ -258,7 +257,7 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     _check_cap(instance.n, cap, "exhaustive-enumeration")
     t0 = time.perf_counter()
     dist = instance.dist
-    iu, ju = np.triu_indices(instance.n, k=1)
+    iu, ju = _pair_index(instance.n)
     pair_dist = dist.condensed()
     slack = _rounding_slack(instance)
     best: Grouping | None = None
@@ -405,7 +404,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     opts = opts or SolveOptions()
     t0 = time.perf_counter()
     # the budget covers the whole solve: the seed and the tables too
-    deadline = None if opts.time_budget is None else time.monotonic() + opts.time_budget
+    deadline = None if opts.time_budget is None else t0 + opts.time_budget
     n, G, a, b = instance.n, instance.G, instance.a, instance.b
     dist = instance.dist
 
@@ -420,7 +419,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     while R < n and G ** (R + 1) <= _TAIL_LABELLINGS:
         R += 1
     lab = np.arange(G**R)[:, None] // G ** np.arange(R - 1, -1, -1) % G
-    iu, ju = np.triu_indices(R, k=1)
+    iu, ju = _pair_index(R)
     within = square[n - R :, n - R :][iu, ju]
     pair_sums = np.where(lab[:, iu] == lab[:, ju], within, 0.0).sum(axis=1)
     slack = _rounding_slack(instance)
@@ -514,7 +513,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
         if chunk < len(batch.cur):
             stack.append(batch.take(slice(chunk, None)))
             batch = batch.take(slice(chunk))
-        if deadline is not None and time.monotonic() >= deadline:
+        if deadline is not None and time.perf_counter() >= deadline:
             exhausted = True
             break
         if node_budget is not None and nodes + len(batch.cur) > node_budget:

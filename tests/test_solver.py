@@ -270,6 +270,44 @@ def test_search_state_validation(worked_instance):
         SearchState(worked_instance, (0,))
 
 
+def test_search_state_accepts_exactly_the_feasible_prefixes(worked_instance):
+    # SearchState replays the branching rule, so it accepts a prefix exactly
+    # when some feasible label tuple extends it, and the bound answers only
+    # for such prefixes. Every one-label extension of an accepted prefix is
+    # tried; a longer tuple with a refused prefix is refused at that label
+    for n in range(1, 8):
+        for G in range(1, min(n, 3) + 1):
+            lo, hi = n // G, -(-n // G)
+            for a, b in sorted({(1, n), (1, hi), (lo, hi), (lo, n), (lo, lo)}):
+                if a > b or not G * a <= n <= G * b:
+                    continue
+                inst = random_instance(n, n, G, a, b, low=-100.0 if n % 2 else 0.0)
+                best = {}
+                for labels in _filtered_label_tuples(n, G, a, b):
+                    value = inst.dist.same_label_sum(labels)
+                    for t in range(n + 1):
+                        prefix = tuple(lab + 1 for lab in labels[:t])
+                        best[prefix] = max(best.get(prefix, -math.inf), value)
+                accepted, frontier = set(), [SearchState(inst, ())]
+                while frontier:
+                    state = frontier.pop()
+                    accepted.add(state.labels)
+                    assert partial_value(state) + upper_bound(state) + TOL >= best[state.labels]
+                    for lab in range(1, G + 1) if state.n_assigned < n else ():
+                        child = state.labels + (lab,)
+                        try:
+                            frontier.append(SearchState(inst, child))
+                        except ValueError:
+                            assert child not in best, (n, G, a, b, child)
+                        else:
+                            assert child in best, (n, G, a, b, child)
+                assert accepted == best.keys(), (n, G, a, b)
+    # no feasible grouping of the worked example starts this way
+    for labels in (1, 1, 1, 2, 2), (1, 2, 2, 2):
+        with pytest.raises(ValueError, match="branching rule"):
+            SearchState(worked_instance, labels)
+
+
 # ---------------------------------------------------------------------------
 # branch and bound
 # ---------------------------------------------------------------------------
