@@ -303,3 +303,23 @@ def test_greedy_groupings_are_pinned():
         groupings = [greedy_construct(inst, seed).groups for inst in instances for seed in range(1, 9)]
         got[family] = hashlib.sha256(repr(groupings).encode()).hexdigest()[:16]
     assert got == GREEDY_GOLDEN
+
+
+def _multistart_golden_instances():
+    large = parse_instance(gen_instance(60, 6, 10, 10, "uniformkd:2", seed=3)).instance
+    return [inst for family in _greedy_golden_instances().values() for inst in family] + [large]
+
+
+MULTISTART_GOLDEN = "412c7e73e4ebd607"
+
+
+def test_multistart_results_are_pinned():
+    # multistart's groupings, per-restart values (as float.hex) and winning
+    # restart over the greedy golden grid plus one N=60 instance, seeds 1-8,
+    # pinned by digest: a rewrite of the local search must keep every one
+    results = []
+    for inst in _multistart_golden_instances():
+        for seed in range(1, 9):
+            r = multistart(inst, restarts=4, seed=seed)
+            results.append((r.grouping.groups, [v.hex() for v in r.restart_values], r.best_restart_index))
+    assert hashlib.sha256(repr(results).encode()).hexdigest()[:16] == MULTISTART_GOLDEN
