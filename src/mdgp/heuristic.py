@@ -8,14 +8,17 @@ identical grouping, on any platform.
 Both phases keep the delta matrix of the MDGP metaheuristics literature
 (Gallego et al. 2013; Lai & Hao 2016): an n×G array ``W`` whose entry
 ``W[u, g]`` is the sum of ``d[u, w]`` over the members w of group g. Greedy
-construction reads its rows. Each swap or move delta is a few entries of
-``W`` and ``d``, so one step scores every candidate in a handful of numpy
+construction reads its rows. Local search derives one gain matrix from it per
+step, and every swap or move delta is one or two of its entries plus
+``-2·d[u, v]``, so one step scores every candidate in a handful of numpy
 operations, and an accepted step updates two columns of ``W`` in O(n). ``W``
 is built and updated by elementwise column additions, never a matrix
-product, so it does not depend on a BLAS library or its thread count. Deltas
-within a fixed tolerance ``tol = 1e-9 · max|d| · b`` count as tied and go to
-the smallest move descriptor, and a step must gain more than tol, so the
-trajectory does not depend on float summation order either.
+product, so it does not depend on a BLAS library or its thread count. A step
+must gain more than a fixed tolerance ``tol = 1e-9 · max|d| · b``, and the
+improving deltas within tol of the best count as tied and go to the smallest
+move descriptor. So two deltas that differ only by float rounding (another
+summation order, say) compare the same way, unless one of them lies within
+rounding of ``best - tol`` or of ``tol``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ def greedy_construct(instance: Instance, seed: int) -> Grouping:
     Elements are consumed in a shuffled order; each goes to the first group
     with the largest gain ``W[e - 1, g]`` among groups that still leave the
     remaining elements able to fill every group up to the lower bound.
+    Group sizes and the capacity deficit are kept as running counts, so
+    placing an element reads one row of ``W`` and adds one column.
     The result is always feasible for a valid instance.
     """
     n, G, a, b = instance.n, instance.G, instance.a, instance.b
@@ -57,20 +62,26 @@ def greedy_construct(instance: Instance, seed: int) -> Grouping:
     rng.shuffle(rest)
     W = d[:, np.array(seeds) - 1]  # members are added in the order they join
 
+    # running counts: group sizes, and the capacity deficit (how many more
+    # elements the groups below size a still need)
+    size = [1] * G
+    deficit = G * (a - 1)
     for idx, e in enumerate(rest):
         left_after = len(rest) - idx - 1
         # capacity guard: after placing e, every group must still be able to
         # reach size a with the elements left over; placing e in a group below
         # a lowers the deficit by one
-        deficit = sum(max(0, a - len(m)) for m in groups)
+        row = W[e - 1].tolist()
         best_g, best_inc = -1, float("-inf")
-        for g, members in enumerate(groups):
-            if len(members) >= b or deficit - (len(members) < a) > left_after:
+        for g in range(G):
+            if size[g] >= b or deficit - (size[g] < a) > left_after:
                 continue
-            if W[e - 1, g] > best_inc:
-                best_g, best_inc = g, W[e - 1, g]
+            if row[g] > best_inc:
+                best_g, best_inc = g, row[g]
         assert best_g >= 0, "valid instances always leave a feasible group"
         groups[best_g].append(e)
+        deficit -= size[best_g] < a
+        size[best_g] += 1
         W[:, best_g] += d[:, e - 1]
 
     return Grouping(groups)
@@ -82,16 +93,19 @@ def local_search(instance: Instance, start: Grouping) -> Grouping:
     Swaps exchange two elements between groups; moves relocate one element
     when both size bounds stay satisfied. Every delta is read from the n×G
     array ``W``, where ``W[u, g]`` is the distance sum from u to the members
-    of group g: swapping u and v gains
-    ``W[u,g(v)] + W[v,g(u)] - W[u,g(u)] - W[v,g(v)] - 2·d[u,v]`` and moving u
-    to g gains ``W[u,g] - W[u,g(u)]``. An accepted step changes two columns
-    of ``W`` by ±d[:, u] (and ±d[:, v]), O(n) work.
+    of group g, through the gain matrix ``gain[u, g] = W[u, g] - W[u, g(u)]``
+    with ``gain[u, g(u)] = -inf``: moving u to g gains ``gain[u, g]``, and
+    swapping u and v gains ``gain[u, g(v)] + gain[v, g(u)] - 2·d[u, v]``.
+    Both gain terms of a pair within one group read the own-group -inf, so
+    same-group swaps score -inf without a mask. An accepted step changes two
+    columns of ``W`` by ±d[:, u] (and ±d[:, v]), O(n) work.
 
     With ``tol = 1e-9 · max|d| · b``, a step improves only when its delta
     exceeds tol, and improving steps within tol of the best delta are tied.
     Ties go to the lexicographically smallest descriptor (swaps as
     (0, min(u, v), max(u, v)), moves as (1, u, target group)), so the
-    trajectory does not depend on float summation order. The objective is
+    trajectory does not depend on float summation order (up to deltas within
+    rounding of ``best - tol`` or of ``tol``). The objective is
     recomputed after each step and the search stops if it did not rise, so
     the result is never worth less than the start.
     """
@@ -102,6 +116,7 @@ def local_search(instance: Instance, start: Grouping) -> Grouping:
     d = instance.dist.as_square()
     n, G, a, b = instance.n, instance.G, instance.a, instance.b
     tol = 1e-9 * float(np.abs(d).max()) * b
+    above_tol = np.nextafter(tol, np.inf)  # the least float that exceeds tol
     label = start.label_array()
     size = np.bincount(label, minlength=G)
     # elementwise column sums, no matrix product: W is the same on every
@@ -110,36 +125,47 @@ def local_search(instance: Instance, start: Grouping) -> Grouping:
     for w in range(n):
         W[:, label[w]] += d[:, w]
     rows = np.arange(n)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    # -2·d[u, v] on the upper triangle, -inf elsewhere: one swap per pair
+    base = -2.0 * d
+    base[np.tri(n, dtype=bool)] = -np.inf
     value = instance.dist.same_label_sum(label)
 
     while True:
-        own = W[rows, label]
-        cross = W[:, label]  # cross[u, v] = W[u, g(v)]
-        swap = cross + cross.T - own[:, None] - own[None, :] - 2.0 * d
-        swap[~(upper & (label[:, None] != label[None, :]))] = -np.inf
-        move = W - own[:, None]
-        move[(size[label] <= a)[:, None] | (size >= b)[None, :]] = -np.inf
-        move[rows, label] = -np.inf
-        best = max(swap.max(), move.max())
+        gain = W - W[rows, label][:, None]
+        gain[rows, label] = -np.inf
+        # swap[u, v] = gain[u, g(v)] + gain[v, g(u)] - 2·d[u, v]; a same-group
+        # pair reads the own-group -inf twice. gain[:, label] is the transpose
+        # of cross[u, v] = gain[v, g(u)]: gathered as rows, cross comes out in
+        # C order, where gain[:, label] would make every later pass strided
+        cross = gain.T.take(label, axis=0)
+        swap = cross + cross.T
+        swap += base
+        movable = size[label] > a
+        open_ = size < b
+        move = gain[movable][:, open_]
+        best = max(swap.max(), move.max(initial=-np.inf))
         if not best > tol:
             break
 
-        # row-major order of both arrays is descriptor order
+        # tied and improving: within tol of the best and above tol; row-major
+        # order of both arrays is descriptor order, and swaps come first
+        floor = max(best - tol, above_tol)
         new = label.copy()
-        tied_swaps = np.flatnonzero((swap >= best - tol) & (swap > tol))
-        if tied_swaps.size:
-            u, v = divmod(int(tied_swaps[0]), n)
+        k = int(np.argmax(swap >= floor))
+        is_swap = swap.flat[k] >= floor
+        if is_swap:
+            u, v = divmod(k, n)
             new[u], new[v] = label[v], label[u]
         else:
-            u, g = divmod(int(np.flatnonzero((move >= best - tol) & (move > tol))[0]), G)
+            i, j = divmod(int(np.argmax(move >= floor)), move.shape[1])
+            u, g = int(np.flatnonzero(movable)[i]), int(np.flatnonzero(open_)[j])
             new[u] = g
         new_value = instance.dist.same_label_sum(new)
         if new_value <= value:
             # float-drift guard: never return anything below the start value
             break
 
-        if tied_swaps.size:
+        if is_swap:
             shift = d[:, v] - d[:, u]
             W[:, label[u]] += shift
             W[:, label[v]] -= shift

@@ -185,15 +185,20 @@ def test_local_search_monotone_on_signed_distances(case):
 
 @st.composite
 def _starts(draw):
-    n = draw(st.integers(2, 12))
+    n = draw(st.integers(1, 12))
     G = draw(st.integers(1, n))
     a = draw(st.integers(1, n // G))
     b = draw(st.integers(-(-n // G), n))
     low = draw(st.sampled_from([0.0, -100.0]))
     inst = random_instance(draw(st.integers(0, 2**32 - 1)), n, G, a, b, low=low)
-    if draw(st.booleans()):
+    values = draw(st.sampled_from(["uniform", "integral", "zero"]))
+    if values == "integral":
         # integral distances make exactly tied steps common
         inst = Instance(DistanceMatrix(n, np.round(inst.dist.condensed())), G, a, b)
+    elif values == "zero":
+        # all-zero distances make tol 0 and leave no step that gains, so the
+        # start must come back as it is
+        inst = Instance(DistanceMatrix(n, np.zeros(n * (n - 1) // 2)), G, a, b)
     return inst, greedy_construct(inst, seed=draw(st.integers(0, 2**32 - 1)))
 
 
@@ -220,6 +225,18 @@ def test_local_search_matches_reference_large():
     result = local_search(inst, start)
     assert result == reference_local_search(inst, start)
     assert result != start
+
+
+def test_local_search_skips_tied_steps_that_do_not_improve():
+    # tol is about 1e-9: swapping 1 and 4 gains 1.8e-9, the best step, while
+    # swapping 1 and 3 gains 0.9e-9, within tol of the best but not above tol,
+    # so its smaller descriptor must not win the tie
+    cond = np.array([0.5, 0.5, 0.5, 0.5 + 0.9e-9, 0.5 + 1.8e-9, 0.5])
+    inst = Instance(DistanceMatrix(4, cond), 2, 2, 2)
+    start = Grouping([(1, 2), (3, 4)])
+    result = local_search(inst, start)
+    assert result == reference_local_search(inst, start)
+    assert sorted(result.groups) == [(1, 3), (2, 4)]
 
 
 def test_local_search_rejects_infeasible_start(worked_instance):
