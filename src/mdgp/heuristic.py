@@ -62,10 +62,8 @@ def greedy_construct(instance: Instance, seed: int) -> Grouping:
     rng.shuffle(rest)
     W = d[:, np.array(seeds) - 1]  # members are added in the order they join
 
-    # running counts: group sizes, and the capacity deficit (how many more
-    # elements the groups below size a still need)
     size = [1] * G
-    deficit = G * (a - 1)
+    deficit = G * (a - 1)  # elements the groups below size a still need
     for idx, e in enumerate(rest):
         left_after = len(rest) - idx - 1
         # capacity guard: after placing e, every group must still be able to
