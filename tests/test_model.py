@@ -22,6 +22,7 @@ from mdgp import (
     objective_value,
     validate_grouping,
 )
+from mdgp.cli import gen_instance, parse_instance, worked_example_instance
 from conftest import TOL, random_instance
 
 
@@ -351,7 +352,18 @@ def test_export_roundtrip(variant, worked_instance):
         assert terms == want[3]
 
 
-# sha256 of export_lp; the LP text is part of the interface, so it stays byte-identical
+# sha256 of export_lp; the LP text is part of the interface, so it stays byte-identical.
+# n1 has rows with no terms and an empty objective; n2g1 and n2g2 have one pair
+PINNED_INSTANCES = {
+    "worked": worked_example_instance,
+    "signed9": lambda: random_instance(9, 9, 3, 2, 4, low=-100.0),
+    "n1": lambda: random_instance(1, 1, 1, 1, 1),
+    "n2g1": lambda: random_instance(2, 2, 1, 1, 2, low=-100.0),
+    "n2g2": lambda: random_instance(2, 2, 2, 1, 1),
+    "mixed12": lambda: parse_instance(
+        gen_instance(12, 3, 3, 5, "mixed:2,2", seed=1), "gower"
+    ).instance,
+}
 LP_SHA256 = {
     ("worked", "equal"): "e3bae71032f40af9a9feb4b81d0dc5409bad8365ee01d608356528e3eb2174c7",
     ("worked", "degree_only"): "2fb9cdde612141bc47b33966c790f4aad0e04b9fa6880c52399a961c87008669",
@@ -359,11 +371,22 @@ LP_SHA256 = {
     ("signed9", "equal"): "c7c32c103e21ad3d74886f708b25c234261fd3d05cacc1ba98538e80f552c13e",
     ("signed9", "degree_only"): "2685136813fcc62c913da30cfee9fc74fe08808d40d527d9eb7352dfcd446ed6",
     ("signed9", "unequal"): "650f338eaa4d792d3120e557153c582889acb6af266c7020d49e21f0acc0c32b",
+    ("n1", "equal"): "295dd37f0f85ccc300bc3853ae0983dce2a90646e92e7849ef5f3222f86bf4d6",
+    ("n1", "degree_only"): "1b814543c4edf6a875e0092ffa7639c1ca439da5e5ccf2cf6deb79691687c357",
+    ("n1", "unequal"): "1f4accf85643e3f7a4d702b29a5373ce4eaa17a6bba7f535f85f76ab93628c72",
+    ("n2g1", "equal"): "4a40ff80a9d5a115ffca835f560e5dee7bba93f6ddb47f776c6d63f2c3ec78ed",
+    ("n2g1", "degree_only"): "aca3d658e094796e921fa5acaa442a08bf822603119c8315e841cd87c5f78e6d",
+    ("n2g1", "unequal"): "12615b4f6059c5e78155a1ed19e3bd82064abcd1fcec152206f90b9c3ff307e8",
+    ("n2g2", "equal"): "ee221e639d17153b654b513dec80b1055ba59e772032e282effa05152db45f25",
+    ("n2g2", "degree_only"): "36ff58303819a0f55d8ed94e10b14c94479863be69fcb534416879277185033d",
+    ("n2g2", "unequal"): "4501bcfe0e47a2aa52ea6ecca13fe2682fcf5dc80ea821de56fab7254af8b496",
+    ("mixed12", "equal"): "a630334ff5009e7515843b5f61dd28bf81fe2fe6ff1c2d879a183935bc21ca17",
+    ("mixed12", "degree_only"): "6972a3dc4d119949dc16f44156ec2cdb1ed1e4772da1ee62056f9b909b501a7f",
+    ("mixed12", "unequal"): "c7974ab86bec654a7b978e52fe8a5ef0d7283c18548e0ed5ae85f4666a8282d1",
 }
 
 
 @pytest.mark.parametrize("which,variant", sorted(LP_SHA256))
-def test_export_bytes_pinned(which, variant, worked_instance):
-    inst = worked_instance if which == "worked" else random_instance(9, 9, 3, 2, 4, low=-100.0)
-    text = export_lp(build_model(inst, variant))
+def test_export_bytes_pinned(which, variant):
+    text = export_lp(build_model(PINNED_INSTANCES[which](), variant))
     assert hashlib.sha256(text.encode()).hexdigest() == LP_SHA256[which, variant]
