@@ -26,6 +26,13 @@ row (the arrays ``scipy.optimize.milp`` takes). Every row coefficient is +1
 or -1, so the LP text writes a row term as its sign and column name. The
 terms of a row keep construction order, not column order, because the LP
 text prints them in that order: ``tri1_i_j_k`` is ``x_ij + x_jk - x_ik``.
+
+Building and exporting are array passes, not a loop over rows. The
+triangle rows come from one index array per triple position, and their
+names from one ``_a_b_c`` suffix per triple. :func:`export_lp` is one pass
+over tokens and one join: a head token per row, term tokens built once per
+column and placed by sign and position, and a tail token per row looked up
+from the few distinct (sense, right-hand side) pairs.
 """
 
 from __future__ import annotations
@@ -152,13 +159,19 @@ class _Rows:
 
 def _rows_with_triangles(n: int) -> _Rows:
     rows = _Rows(n)
-    triples = list(combinations(range(1, n + 1), 3))
-    i, j, k = (np.array(triples, dtype=np.intp).reshape(-1, 3) - 1).T
+    # the triples i < j < k (0-based) in lexicographic order
+    less = np.less.outer(np.arange(n), np.arange(n))
+    i, j, k = np.nonzero(less[:, :, None] & less)
     xij, xik, xjk = rows.col[i, j], rows.col[i, k], rows.col[j, k]
     # per triple: tri1 = x_ij + x_jk - x_ik, tri2 = x_ij + x_ik - x_jk, tri3 = x_ik + x_jk - x_ij
     cols = np.stack([xij, xjk, xik, xij, xik, xjk, xik, xjk, xij], axis=1)
-    names = [f"tri{r}_{a}_{b}_{c}" for a, b, c in triples for r in (1, 2, 3)]
-    rows.add(names, cols, (1, 1, -1), hi=1)
+    # the 1-based "_a_b_c" of each triple, from one "_a_b" per pair
+    part = [f"_{e}" for e in range(n + 1)]
+    suffixes = []
+    for a, b in _pairs(n):
+        ab = part[a] + part[b]
+        suffixes += [ab + part[c] for c in range(b + 1, n + 1)]
+    rows.add([r + s for s in suffixes for r in ("tri1", "tri2", "tri3")], cols, (1, 1, -1), hi=1)
     return rows
 
 
@@ -265,39 +278,63 @@ def check_assignment(model: IlpModel, asg: PairAssignment) -> CheckReport:
     )
 
 
-def _render_lines(coefs, bodies, indices, indptr):
-    """Yield line r: terms ``k`` in ``indptr[r]:indptr[r+1]``, each ``"+ body"``
-    or ``"- body"`` of column ``indices[k]`` by the sign of ``coefs[k]``,
-    without a leading ``"+ "``. Each column's body is signed once."""
-    bodies = np.asarray(bodies, dtype=object)
-    signed = ("+ " + bodies)[indices]
-    neg = np.asarray(coefs) < 0
-    signed[neg] = ("- " + bodies)[indices[neg]]
-    signed = signed.tolist()
-    for s, e in zip(indptr[:-1], indptr[1:]):
-        line = " ".join(signed[s:e])
-        yield line[2:] if line.startswith("+ ") else line
-
-
 def export_lp(model: IlpModel) -> str:
     """Serialize to LP text: Maximize / Subject To / Binaries / End.
 
     Variable names are ``x_<i>_<j>`` and ``y_<j>`` (1-based); pairs appear in
     lexicographic order and constraints in construction order, so exports are
     deterministic and diffable. Each constraint stays on one line.
+
+    The text is one pass over tokens and one join. Line 0 is the objective
+    and line r + 1 is row r; a line is a head token, one token per term and
+    a tail token. A term token is its column's ``" x"`` when it leads a
+    positive line, else ``" + x"`` or ``" - x"``; each is built once per
+    column, and the objective's columns carry their coefficient. A line with
+    no terms gets one more space, as ``" ".join`` of no terms would give.
     """
+    # the helper's arrays are freed before the token list and the text are made
+    return "".join(_lp_tokens(model).tolist())
+
+
+def _lp_tokens(model: IlpModel) -> np.ndarray:
+    """The tokens of :func:`export_lp` in text order, as an object array."""
     names = model.variables
-    lines = [f"\\ {model.variant} variant, n={model.n}", "Maximize"]
-    # the pair columns come first; repr is the shortest exact decimal
     obj = model.objective.tolist()
-    bodies = [f"{abs(c)!r} {name}" for c, name in zip(obj, names)]
-    (objective,) = _render_lines(obj, bodies, np.arange(len(obj)), [0, len(obj)])
-    lines += [f" obj: {objective}", "Subject To"]
-    rows = _render_lines(model.coefs, names, model.indices, model.indptr.tolist())
-    for row, terms, lo, hi in zip(model.constraints, rows, model.lo.tolist(), model.hi.tolist()):
-        sense, rhs = ("=", lo) if lo == hi else ("<=", hi) if lo == -np.inf else (">=", lo)
-        lines.append(f" {row}: {terms} {sense} {int(rhs)}")
-    lines.append("Binaries")
-    lines.append(" " + " ".join(names))
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    # the objective's terms are columns len(names).. of the bodies: a
+    # coefficient (repr is the shortest exact decimal) and a name
+    bodies = np.array([*names, *(f"{abs(c)!r} {name}" for c, name in zip(obj, names))],
+                      dtype=object)
+    indptr = np.concatenate([[0], len(obj) + model.indptr])
+    cols = np.concatenate([len(names) + np.arange(len(obj)), model.indices])
+    neg = np.concatenate([model.objective < 0, model.coefs < 0])
+
+    # rows share few tails: each is rendered once, keyed rhs*3 + sense
+    lo, hi = model.lo, model.hi
+    sense = np.where(lo == hi, 0, np.where(lo == -np.inf, 1, 2))
+    keys, tail_of = np.unique(np.where(sense == 1, hi, lo).astype(np.int64) * 3 + sense,
+                              return_inverse=True)
+    # the objective's line ends with the next section's header, the last tail
+    tails = np.array(
+        [*(f" {('=', '<=', '>=')[s]} {rhs}\n" for rhs, s in (divmod(k, 3) for k in keys.tolist())),
+         "\nSubject To\n"],
+        dtype=object,
+    )
+
+    lines = np.arange(len(indptr) - 1)
+    head_at = indptr[:-1] + 2 * lines
+    tail_at = indptr[1:] + 2 * lines + 1
+    tokens = np.empty(tail_at[-1] + 2, dtype=object)
+    tokens[tail_at] = tails[np.append(len(keys), tail_of)]
+    tokens[-1] = f"Binaries\n {' '.join(names)}\nEnd\n"
+    is_term = np.ones(len(tokens), dtype=bool)
+    is_term[head_at] = is_term[tail_at] = is_term[-1] = False
+    # a term leads its line when a line starts at it; an empty line starts
+    # where the next one does, and the extra slot takes a start at the end
+    lead = np.zeros(len(cols) + 1, dtype=bool)
+    lead[indptr] = True
+    signed = np.concatenate([" + " + bodies, " - " + bodies, " " + bodies])
+    tokens[is_term] = signed[np.where(neg, 1, 2 * lead[:-1]) * len(bodies) + cols]
+    tokens[head_at] = [f"\\ {model.variant} variant, n={model.n}\nMaximize\n obj:",
+                       *(f" {row}:" for row in model.constraints)]
+    tokens[head_at[indptr[:-1] == indptr[1:]]] += " "
+    return tokens

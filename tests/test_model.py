@@ -335,21 +335,35 @@ def test_export_contains_leader_count_row(worked_instance):
     assert " lcount: y_2 + y_3 + y_4 + y_5 + y_6 = 2" in lp.splitlines()
 
 
+def _export_grid(variant):
+    """The worked instance, then N = 1..9 with nonnegative and signed distances."""
+    yield worked_example_instance()
+    for n in range(1, 10):
+        for seed, low in ((n, 0.0), (100 + n, -100.0)):
+            if variant == "equal":
+                G = next(g for g in (3, 2, 1) if n % g == 0)
+                a = b = n // G
+            else:
+                G, a, b = min(3, n), 1, n
+            yield random_instance(seed, n, G, a, b, low=low)
+
+
 @pytest.mark.parametrize("variant", ["equal", "unequal", "degree_only"])
-def test_export_roundtrip(variant, worked_instance):
-    model = build_model(worked_instance, variant)
-    objective, constraints, binaries = parse_lp(export_lp(model))
+def test_export_roundtrip(variant):
+    for inst in _export_grid(variant):
+        model = build_model(inst, variant)
+        objective, constraints, binaries = parse_lp(export_lp(model))
 
-    assert binaries == list(model.variables)
-    assert objective == dict(zip(model.variables, model.objective.tolist()))
+        assert binaries == list(model.variables)
+        assert objective == dict(zip(model.variables, model.objective.tolist()))
 
-    assert len(constraints) == len(model.constraints)
-    for got, want in zip(constraints, model_rows(model)):
-        name, terms, sense, rhs = got
-        assert name == want[0]
-        assert sense == want[1]
-        assert rhs == want[2]
-        assert terms == want[3]
+        assert len(constraints) == len(model.constraints)
+        for got, want in zip(constraints, model_rows(model)):
+            name, terms, sense, rhs = got
+            assert name == want[0]
+            assert sense == want[1]
+            assert rhs == want[2]
+            assert terms == want[3]
 
 
 # sha256 of export_lp; the LP text is part of the interface, so it stays byte-identical.
