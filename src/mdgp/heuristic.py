@@ -12,7 +12,8 @@ construction reads its rows. Local search derives one gain matrix from it per
 step, and every swap or move delta is one or two of its entries plus
 ``-2·d[u, v]``, so one step scores every candidate in a handful of numpy
 operations, and an accepted step updates two columns of ``W`` in O(n). ``W``
-is built and updated by elementwise column additions, never a matrix
+changes only by elementwise additions of columns of ``d`` (rows of ``d``
+added to its transpose, when local search builds it), never by a matrix
 product, so it does not depend on a BLAS library or its thread count. A step
 must gain more than a fixed tolerance ``tol = 1e-9 · max|d| · b``, and the
 improving deltas within tol of the best count as tied and go to the smallest
@@ -117,11 +118,13 @@ def local_search(instance: Instance, start: Grouping) -> Grouping:
     above_tol = np.nextafter(tol, np.inf)  # the least float that exceeds tol
     label = start.label_array()
     size = np.bincount(label, minlength=G)
-    # elementwise column sums, no matrix product: W is the same on every
-    # platform and BLAS build
-    W = np.zeros((n, G))
-    for w in range(n):
-        W[:, label[w]] += d[:, w]
+    # elementwise sums, no matrix product: W is the same on every platform
+    # and BLAS build. A row of W.T adds whole rows of the symmetric d, so
+    # each entry gets the additions of the column sums, in the same order
+    Wt = np.zeros((G, n))
+    for w, g in enumerate(label.tolist()):
+        Wt[g] += d[w]
+    W = Wt.T
     rows = np.arange(n)
     # -2·d[u, v] on the upper triangle, -inf elsewhere: one swap per pair
     base = -2.0 * d
