@@ -30,7 +30,8 @@ from mdgp import (
 )
 from mdgp import solver
 from mdgp.cli import gen_instance, parse_instance
-from mdgp.heuristic import HeuristicResult
+from mdgp.heuristic import HeuristicResult, multistart
+from mdgp.rng import _offset_seed, derive_seed
 from conftest import TOL, random_instance, seeded_cases
 
 
@@ -418,6 +419,46 @@ def test_time_budget_covers_the_seed(monkeypatch):
     seed = _first_feasible(inst, 1, 0)
     assert not result.proven and result.nodes_explored == 0
     assert (result.value, result.grouping) == (seed.value, canonicalize(seed.grouping))
+
+
+def _counted_multistart(monkeypatch):
+    """Patch the solver's seed heuristic to record each call's result."""
+    runs = []
+
+    def counted(instance, restarts, seed):
+        runs.append(multistart(instance, restarts, seed))
+        return runs[-1]
+
+    monkeypatch.setattr(solver, "multistart", counted)
+    return runs
+
+
+def test_seed_restarts_reproduce_multistart(monkeypatch):
+    # unbudgeted, the seed runs multistart's restarts one at a time: restart
+    # 1 of each offset seed is the next restart of _SEED_SEED, and the best
+    # is multistart's own, ties to the earliest included
+    for s, i, k in ((0, 1, 3), (7, 2, 0), (2**64 - 1, 5, 9)):
+        assert derive_seed(_offset_seed(s, k), i) == derive_seed(s, i + k)
+    inst = parse_instance(gen_instance(14, 3, 4, 5, "uniformkd:2", seed=2)).instance
+    runs = _counted_multistart(monkeypatch)
+    solve_bnb(inst)
+    whole = multistart(inst, solver._SEED_RESTARTS, solver._SEED_SEED)
+    assert [r.value for r in runs] == list(whole.restart_values)
+    best = next(r for r in runs if r.value == whole.value)
+    assert best.grouping == whole.grouping
+
+
+def test_time_budget_shorter_than_one_restart(monkeypatch):
+    # the first seed restart always runs and no other starts after the
+    # deadline, so the search returns that restart's grouping, unproven
+    inst = parse_instance(gen_instance(40, 5, 8, 8, "uniformkd:2", seed=1)).instance
+    runs = _counted_multistart(monkeypatch)
+    result = solve_bnb(inst, SolveOptions(time_budget=1e-9))
+    assert [r.restarts_used for r in runs] == [1]
+    assert not result.proven and result.nodes_explored == 0
+    assert validate_grouping(result.grouping, inst).feasible
+    assert result.grouping == canonicalize(runs[0].grouping)
+    assert result.value == runs[0].value == objective_value(result.grouping, inst.dist)
 
 
 def test_bnb_meets_rounded_ties_with_a_weak_seed(monkeypatch):
