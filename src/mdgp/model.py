@@ -292,7 +292,7 @@ def export_lp(model: IlpModel) -> str:
     column, and the objective's columns carry their coefficient. A line with
     no terms gets one more space, as ``" ".join`` of no terms would give.
     """
-    # the helper's arrays are freed before the token list and the text are made
+    # a helper, so that its working arrays are freed before the list and the text are made
     return "".join(_lp_tokens(model).tolist())
 
 
