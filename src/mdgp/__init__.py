@@ -20,26 +20,24 @@ from .core import (
     objective_value,
     validate_grouping,
 )
-from .decode import (
-    DecodeReport,
-    TheoremReport,
-    TransitivityError,
-    build_report,
-    decode_partition,
-    verify_group_count,
-)
 from .heuristic import HeuristicResult, greedy_construct, local_search, multistart
 from .model import (
     CheckReport,
+    DecodeReport,
     IlpModel,
     PairAssignment,
+    TheoremReport,
+    TransitivityError,
     build_degree_only,
     build_equal,
     build_model,
+    build_report,
     build_unequal,
     check_assignment,
+    decode_partition,
     encode_grouping,
     export_lp,
+    verify_group_count,
 )
 from .solver import (
     DEFAULT_ENUMERATION_CAP,

@@ -479,6 +479,19 @@ def test_cmd_solve_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cmd_solve_allocation_failure(worked_file, monkeypatch, capsys):
+    # an instance too large for the machine's memory: numpy raises a
+    # MemoryError subclass while building its arrays
+    def no_memory(text, metric="manhattan"):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array")
+    monkeypatch.setattr(cli, "parse_instance", no_memory)
+    code = main(["solve", "--input", str(worked_file), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "Unable to allocate" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_cmd_solve_all_negative_distances(tmp_path, capsys):
     path = tmp_path / "negative.txt"
     path.write_text("4 2 2 2\nDIST\n-5 -5 -5\n-5 -5\n-5\n")

@@ -1,7 +1,7 @@
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mdgp import (
     Grouping,
@@ -109,6 +109,21 @@ def test_decode_accepts_exactly_the_transitive_assignments():
                 with pytest.raises(TransitivityError) as exc:
                     decode_partition(x, n)
                 assert exc.value.triple == bad[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions())
+def test_flipped_same_group_pair_names_first_violated_triple(grouping):
+    # the bench's reject case beyond the exhaustive N <= 5: the
+    # lexicographically smallest same-group pair set to 0; in a group of two
+    # that leaves a transitive x, so the pair's group must have a third member
+    group = min((g for g in grouping.groups if len(g) > 1), key=lambda g: g[:2], default=())
+    assume(len(group) >= 3)
+    n = grouping.n
+    x = {**encode_grouping(grouping).x, group[:2]: 0}
+    with pytest.raises(TransitivityError) as exc:
+        decode_partition(x, n)
+    assert exc.value.triple == _violated_triples(x, n)[0]
 
 
 # ---------------------------------------------------------------------------
