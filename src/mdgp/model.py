@@ -344,6 +344,10 @@ def decode_partition(x: Mapping[tuple[int, int], int], n: int) -> Grouping:
         if value not in (0, 1):
             raise ValueError(f"x[{i},{j}] must be 0 or 1")
         same.append(value == 1)
+    if len(x) != len(same):
+        valid = set(_pairs(n))
+        stray = next(key for key in x if key not in valid)
+        raise ValueError(f"pair key {stray} is not a pair i < j of 1..{n}")
 
     same = np.array(same, dtype=bool)
     iu, ju = _pair_index(n)
@@ -376,8 +380,11 @@ def verify_group_count(
     Checks that (i) no block holds two leaders among indices >= 2, (ii) every
     block's smallest member is a leader (element 1 is exempt), and
     (iii) the decoded group count equals G. When the leader count is G - 1
-    and (i)-(ii) hold, (iii) is forced; the report records each fact.
+    and (i)-(ii) hold, (iii) is forced; the report records each fact. A
+    variant without leader variables (``y`` is None) raises ValueError.
     """
+    if y is None:
+        raise ValueError("y is None: the model has no leader variables to audit")
     failures = []
     one_leader = True
     minima_leaders = True

@@ -65,9 +65,3 @@ def derive_seed(seed: int, index: int) -> int:
     implementations can reproduce the same per-restart streams."""
     return _mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
-
-def _offset_seed(seed: int, k: int) -> int:
-    """The seed whose stream ``index`` is stream ``index + k`` of `seed`:
-    :func:`derive_seed` mixes ``seed + (index + 1)·golden``, so adding
-    ``k·golden`` to the seed moves every stream k places."""
-    return (seed + k * _GOLDEN) & _MASK64

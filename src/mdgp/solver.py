@@ -53,9 +53,9 @@ every solve of the same ``(G, a, b, R)`` in a process and built by the first
 (:func:`_completions`). Each such tail counts as one node:
 ``nodes_explored`` counts the branching nodes plus the tails. A node budget
 truncates the batch that would exceed it, so ``nodes_explored`` never
-exceeds it. The time budget counts from the call, seed included; the
-deadline is checked before each batch and before each seed restart but the
-first.
+exceeds it. The time budget counts from the call, seed included: the seed
+is one heuristic restart, which always runs, and the deadline is checked
+before each batch.
 
 Which nodes the search visits depends on their order only through the
 incumbent. While the incumbent stays fixed, and so whenever the seed is
@@ -92,7 +92,6 @@ import numpy as np
 
 from .core import Grouping, Instance, _pair_index, canonicalize
 from .heuristic import multistart
-from .rng import _offset_seed
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -104,8 +103,7 @@ _COMPLETIONS_CACHE = 1024
 # the floats one branch-and-bound pass and the nodes it leaves pending may hold
 _BATCH_FLOATS = 1 << 20
 
-# the heuristic call that seeds the incumbent
-_SEED_RESTARTS = 8
+# the seed of the one heuristic restart that seeds the incumbent
 _SEED_SEED = 0
 
 
@@ -410,16 +408,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     n, G, a, b = instance.n, instance.G, instance.a, instance.b
     dist = instance.dist
 
-    # multistart's restarts one at a time, so that none starts after the
-    # deadline (the first always runs): restart 1 of an offset seed is
-    # restart r of _SEED_SEED, and the first best value wins, as in multistart
     seed = multistart(instance, restarts=1, seed=_SEED_SEED)
-    for r in range(1, _SEED_RESTARTS):
-        if deadline is not None and time.perf_counter() >= deadline:
-            break
-        restart = multistart(instance, restarts=1, seed=_offset_seed(_SEED_SEED, r))
-        if restart.value > seed.value:
-            seed = restart
     best_value = seed.value
     best_grouping = canonicalize(seed.grouping)
 

@@ -14,11 +14,13 @@ from mdgp import (
     PairAssignment,
     SearchState,
     build_model,
+    build_report,
     decode_partition,
     distance_matrix,
     encode_grouping,
     iter_set_partitions,
     validate_grouping,
+    verify_group_count,
 )
 from mdgp.model import VARIANTS
 from mdgp.rng import SplitMix64
@@ -69,6 +71,13 @@ CASES = {
     # decode
     "decode n < 1": (lambda: decode_partition({}, 0), ValueError, "n must be >= 1"),
     "decode x value": (lambda: decode_partition({(1, 2): 2}, 2), ValueError, "x[1,2] must be 0 or 1"),
+    "decode stray pair key": (
+        lambda: decode_partition({(1, 2): 1, (1, 3): 0, (2, 3): 0, (3, 4): 1, (9, 7): 1}, 3),
+        ValueError, "pair key (3, 4) is not a pair i < j of 1..3"),
+    "audit without leaders": (
+        lambda: verify_group_count(build_report(GROUPING, None),
+                                   encode_grouping(GROUPING, "equal").y, 2),
+        ValueError, "y is None: the model has no leader variables to audit"),
     # rng
     "randrange(0)": (lambda: SplitMix64(1).randrange(0), ValueError, "randrange needs n >= 1"),
     "oversized sample": (lambda: SplitMix64(1).sample([1, 2], 3), ValueError,
