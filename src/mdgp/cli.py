@@ -460,23 +460,39 @@ def _cmd_demonstrate(args) -> int:
     return 0
 
 
+def _partition_problem(groups, n: int) -> str | None:
+    """Why ``groups`` is not a partition of 1..n, or None if it is one."""
+    seen: set[int] = set()
+    for g in groups:
+        for e in g:
+            if not (1 <= e <= n):
+                return f"element {e} out of range 1..{n}"
+            if e in seen:
+                return f"element {e} listed twice"
+            seen.add(e)
+    if len(seen) != n:
+        return f"elements not covered: {sorted(set(range(1, n + 1)) - seen)}"
+    return None
+
+
 def _cmd_verify(args) -> int:
     inst = _load(args)
     raw_groups = parse_solution(Path(args.solution).read_text())
 
-    seen: set[int] = set()
-    for g in raw_groups:
-        for e in g:
-            if not (1 <= e <= inst.n):
-                print(f"verification failure: element {e} out of range 1..{inst.n}")
-                return 2
-            if e in seen:
-                print(f"verification failure: element {e} listed twice")
-                return 2
-            seen.add(e)
-    if len(seen) != inst.n:
-        missing = sorted(set(range(1, inst.n + 1)) - seen)
-        print(f"verification failure: elements not covered: {missing}")
+    problem = _partition_problem(raw_groups, inst.n)
+    if problem is not None:
+        if args.json:
+            # no grouping, so no value: the report carries what was listed
+            out = {
+                "instance": _instance_dict(inst),
+                "solver": "verify",
+                "groups": raw_groups,
+                "feasible": False,
+                "violations": [problem],
+            }
+            print(json.dumps(out, indent=2))
+        else:
+            print(f"verification failure: {problem}")
         return 2
 
     t0 = time.perf_counter()

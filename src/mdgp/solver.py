@@ -34,23 +34,28 @@ that join it; their number lies between ``a-1-s`` and ``b-1-s`` for a group
 with ``s`` assigned members. The unassigned elements are always a suffix
 ``t..n-1`` of the index order, so the second part depends only on
 ``(t, u, s)`` and comes from a table built once per solve out of the
-distance square, with one sort of each row of the suffix block and one
-running sum over it (:func:`_suffix_table`). The first part is kept per
-node, element and group, so a node costs ``O((n - t) * G)`` per child,
-without a sort. The bound holds for signed distances, and
-:func:`_completion_bounds` is its only implementation: :func:`upper_bound`
-replays a state through it as a batch of one.
+distance square (:func:`_suffix_tables`): one sort of a stack holding every
+depth's suffix block, each masked out of the same square, and one running
+sum over it (past ``n = 26``, a few such stacks). The first part is kept per node, element and group, so a node
+costs ``O((n - t) * G)`` per child, without a sort. The bound holds for
+signed distances, and :func:`_completion_bounds` is its only
+implementation: :func:`upper_bound` replays a state through it as a batch
+of one, with its table from the same routine.
 
 The search does not branch on the last ``R`` elements, where ``R`` is the
 largest ``r <= n`` with ``G**r <= 1024`` (at least 1). A batch of nodes that
 have assigned the first ``n - R`` elements scores every feasible labelling
-of the rest, and so does the root when ``n <= R``: one numpy pass per sizes
-tuple adds each labelling's gains to the sum of the tail pairs it puts
-together, which every solve computes once for all ``G**R`` labellings, and
-the scores are kept for the exact rescoring below. A prefix's completions
-are the :func:`_leaves` of ``R`` more levels of the branching rule, shared by
-every solve of the same ``(G, a, b, R)`` in a process and built by the first
-(:func:`_completions`). Each such tail counts as one node:
+of the rest, and so does the root when ``n <= R``. Its nodes are sorted by
+sizes tuple, and each run of one tuple is scored by one matrix product: the
+nodes' gains, one column per (group, tail position) and a column of ones,
+times the run's 0/1 one-hot of its labellings with the sum of the tail pairs
+each one puts together as the last row. Every solve computes those pair sums
+once for all ``G**R`` labellings, and the scores are kept for the exact
+rescoring below. A prefix's completions are the :func:`_leaves` of ``R``
+more levels of the branching rule, shared with their one-hot by every solve
+of the same ``(G, a, b, R)`` in a process and built by the first
+(:func:`_completions`, an LRU of 256 entries that stays under 18 MB for
+``G <= 256``). Each such tail counts as one node:
 ``nodes_explored`` counts the branching nodes plus the tails. A node budget
 truncates the batch that would exceed it, so ``nodes_explored`` never
 exceeds it. The time budget counts from the call, seed included: the seed
@@ -69,7 +74,13 @@ the incumbent (the seed, to begin with) only by a strictly higher exact
 ``same_label_sum``, so among tied optima it keeps the first one found; the
 fast tail sums only choose which labellings get that exact sum, and a batch
 of tails tries them node by node in batch order, then in lexicographic
-order, so rounding never picks a tie.
+order, so rounding never picks a tie. Nor does the BLAS that computes the
+product, whatever order or thread count it sums in: the distances are
+finite, so every gain is and a zero of the one-hot adds an exact zero, and
+each score is a sum of ``R + 1`` terms whose error, about ``n * eps *
+sum|d|``, lies far inside the ``_rounding_slack`` kept around every
+threshold a score meets. The value, the grouping and the node count are the
+same at every BLAS thread count.
 
 The float contract of both solvers: a proven ``value`` is within
 ``_rounding_slack(instance)`` (``N**2 * eps * sum|d|``) of every feasible
@@ -98,10 +109,16 @@ DEFAULT_ENUMERATION_CAP = 12
 # the branch-and-bound scores at most this many tail labellings in one pass
 _TAIL_LABELLINGS = 1024
 # tail completions kept across solves; an LRU smaller than the keys a
-# workload cycles through would miss on every lookup
-_COMPLETIONS_CACHE = 1024
+# workload cycles through would miss on every lookup. One solve at N <= 20
+# uses 25 to about 110 keys, and the 14 bnb-prove instances of one bench
+# seed use 138
+_COMPLETIONS_CACHE = 256
 # the floats one branch-and-bound pass and the nodes it leaves pending may hold
 _BATCH_FLOATS = 1 << 20
+# the floats of one sorted stack of suffix tables: one sort up to n = 26.
+# Larger stacks sort more -inf padding and fall out of cache, so they are
+# slower than several small ones
+_TABLE_FLOATS = 1 << 14
 
 # the seed of the one heuristic restart that seeds the incumbent
 _SEED_SEED = 0
@@ -284,8 +301,10 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     )
 
 
-def _suffix_table(square: np.ndarray, t: int, a: int, b: int) -> np.ndarray:
-    """``Q[s, i]``: the most that element ``u = t + i`` can gain from the
+def _suffix_tables(square: np.ndarray, depths, a: int, b: int) -> list[np.ndarray]:
+    """The suffix table ``Q`` of each depth ``t`` in ``depths``, ascending.
+
+    ``Q[s, i]`` is the most that element ``u = t + i`` can gain from the
     unassigned elements ``t..n-1`` that end up in its group, when it joins a
     group holding ``s`` assigned members, for ``s = 0..b-1``; row ``b`` is
     ``-inf``, since a full group admits nobody.
@@ -293,24 +312,40 @@ def _suffix_table(square: np.ndarray, t: int, a: int, b: int) -> np.ndarray:
     Each such pair counts at half weight (it is shared by both elements).
     ``u`` ends up with between ``a-1-s`` and ``b-1-s`` unassigned partners,
     so the value is the sum of its ``a-1-s`` largest half-distances into the
-    suffix plus the positive ones among the next ``b-a``. Each row of the
-    suffix block of ``square`` is sorted once, largest first, and the value
-    is a running sum from ``0.0`` over the first terms, added in that order.
+    suffix plus the positive ones among the next ``b-a``: a running sum from
+    ``0.0`` over the first terms, largest first, added in that order.
+
+    Every depth's suffix block is cut out of the suffix of the first depth
+    as one layer of a stack, ``-inf`` outside it, and one sort of the stack
+    orders every row of every layer. A layer's ``-inf`` entries sort last
+    and add nothing to the sums read, so each table is bit for bit the one
+    its own block would give. A stack of more than ``_TABLE_FLOATS`` floats
+    is split into runs of depths that fit, so the sort's temporaries stay
+    small at any ``n``.
     """
-    m = len(square) - t
-    half = 0.5 * square[t:, t:]
+    depths = list(depths)
+    if not depths:
+        return []
+    n, t0 = len(square), depths[0]
+    m0 = n - t0
+    fit = max(1, _TABLE_FLOATS // max(1, m0 * m0))
+    if len(depths) > fit:
+        return _suffix_tables(square, depths[:fit], a, b) + _suffix_tables(square, depths[fit:], a, b)
+    t = np.array(depths)[:, None, None]
+    u = np.arange(t0, n)
     # u is not its own partner: its -inf sorts last and is dropped
-    np.fill_diagonal(half, -math.inf)
-    vals = np.sort(half, axis=1)[:, :0:-1]
-    sums = np.hstack([np.zeros((m, 1)), vals]).cumsum(axis=1)
+    inside = (u[:, None] >= t) & (u >= t) & (u[:, None] != u)
+    vals = np.sort(np.where(inside, 0.5 * square[t0:, t0:], -math.inf), axis=-1)[..., :0:-1]
+    sums = np.concatenate([np.zeros((len(depths), m0, 1)), vals], axis=-1).cumsum(axis=-1)
     # the a-1-s largest terms and the positive ones after them, at most
     # b-1-s in all and at most the m-1 there are
     s = np.arange(b)[:, None]
-    positive = (vals > 0).sum(axis=1)
+    positive = (vals > 0).sum(axis=-1)[:, None]
+    m = n - t
     taken = np.minimum(np.minimum(b - 1 - s, m - 1), np.maximum(a - 1 - s, positive))
-    table = np.full((b + 1, m), -math.inf)
-    table[:b] = sums[np.arange(m), taken]
-    return table
+    tables = np.full((len(depths), b + 1, m0), -math.inf)
+    tables[:, :b] = np.take_along_axis(sums, taken.transpose(0, 2, 1), axis=-1).transpose(0, 2, 1)
+    return [table[:, d - t0 :] for table, d in zip(tables, depths)]
 
 
 def _completion_bounds(A: np.ndarray, sizes: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -319,8 +354,8 @@ def _completion_bounds(A: np.ndarray, sizes: np.ndarray, Q: np.ndarray) -> np.nd
 
     ``A[f, g, i]`` is the signed sum of distances from ``u = t + i`` to the
     members of group ``g`` at node ``f``, ``sizes[f, g]`` is that group's
-    size (both zero for a group not yet opened) and ``Q`` is
-    ``_suffix_table(square, t, a, b)``. The completion value splits over the
+    size (both zero for a group not yet opened) and ``Q`` is depth ``t``'s
+    table from :func:`_suffix_tables`. The completion value splits over the
     unassigned elements as ``sum_u A[g(u), u] + 1/2 sum_{w unassigned,
     g(w) = g(u)} d[u][w]``, because every pair of unassigned elements
     appears in both of their terms. Each ``u`` joins exactly one group
@@ -352,7 +387,7 @@ def upper_bound(state: SearchState) -> float:
     for v, lab in enumerate(state.labels):
         A[0, lab - 1] += square[v, t:]
         sizes[0, lab - 1] += 1
-    Q = _suffix_table(square, t, inst.a, inst.b)
+    (Q,) = _suffix_tables(square, [t], inst.a, inst.b)
     return float(_completion_bounds(A, sizes, Q)[0])
 
 
@@ -370,16 +405,20 @@ def partial_value(state: SearchState) -> float:
 @functools.lru_cache(maxsize=_COMPLETIONS_CACHE)
 def _completions(R: int, a: int, b: int, sizes: tuple[int, ...]):
     """The completions of a prefix whose ``G = len(sizes)`` groups have
-    ``sizes``, the :func:`_leaves` of ``R`` levels below it: ascending
-    (lexicographic) indices among the ``G**R`` labellings of the last ``R``
-    elements and their labels, one row per position, read-only. For ``2 <= G
-    <= 256`` an entry takes at most 1024 * (10 + 2) bytes: a cache < 16 MB."""
+    ``sizes``, the :func:`_leaves` of ``R`` levels below it, read-only: their
+    ascending (lexicographic) indices among the ``G**R`` labellings of the
+    last ``R`` elements, and their ``uint8`` one-hot, whose row ``g * R + j``
+    is 1 where tail position ``j`` takes group ``g``. For ``K`` completions
+    an entry takes at most ``K * (G*R + 2)`` bytes, with ``K <= G**R <=
+    1024`` unless ``R = 1``, where ``K <= G``. So for ``2 <= G <= 256`` an
+    entry takes at most 68 KB (``G = 32``, ``R = 2``), and for ``G <= 10``
+    at most 32 KB: a cache under 18 MB, or 9 MB."""
     G = len(sizes)
     labels = np.concatenate(list(_leaves(R, a, b, sizes)))
     idx = (labels @ G ** np.arange(R - 1, -1, -1)).astype(np.min_scalar_type(G**R - 1))
-    labels = labels.T.astype(np.min_scalar_type(G - 1), order="C")
-    idx.flags.writeable = labels.flags.writeable = False
-    return idx, labels
+    onehot = (labels.T == np.arange(G)[:, None, None]).reshape(G * R, -1).astype(np.uint8)
+    idx.flags.writeable = onehot.flags.writeable = False
+    return idx, onehot
 
 
 class _Nodes(NamedTuple):
@@ -424,31 +463,31 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     pair_sums = np.where(lab[:, iu] == lab[:, ju], within, 0.0).sum(axis=1)
     slack = _rounding_slack(instance)
     # the suffix table of the children of depth t, for every branching depth
-    tables = [_suffix_table(square, t + 1, a, b) for t in range(n - R)]
+    tables = _suffix_tables(square, range(1, n - R + 1), a, b)
     node_budget = opts.node_budget
     nodes = 0
     exhausted = False
 
     def finish(batch: _Nodes):
         # score the completions of every node at once: the nodes sorted by
-        # sizes tuple, one pass over each tuple's run of nodes
+        # sizes tuple, one matrix product for each tuple's run of nodes
         nonlocal best_value, best_grouping
         order = np.lexsort(batch.sizes.T[::-1])
         sizes = batch.sizes[order]
-        # column g * R + j of gains is group g's gain at tail position j
-        gains = batch.A[order].reshape(len(order), -1)
+        # column g * R + j of gains is group g's gain at tail position j; the
+        # last column, of ones, picks up the pair sums
+        gains = np.ones((len(order), G * R + 1))
+        gains[:, :-1] = batch.A[order].reshape(len(order), -1)
         starts = np.flatnonzero((sizes[1:] != sizes[:-1]).any(axis=1)) + 1
         edges = [0, *starts.tolist(), len(order)]
         top, runs = np.empty(len(order)), []
         for key, lo, hi in zip(sizes[edges[:-1]].tolist(), edges, edges[1:]):
-            idx, labels = _completions(R, a, b, tuple(key))
-            score = gains[lo:hi, 0::R].take(labels[0], axis=1)
-            for j in range(1, R):
-                score += gains[lo:hi, j::R].take(labels[j], axis=1)
-            score += pair_sums[idx]
-            top[order[lo:hi]] = score.max(axis=1)
-            runs.append((lo, labels, score))
+            idx, onehot = _completions(R, a, b, tuple(key))
+            score = gains[lo:hi] @ np.concatenate([onehot, pair_sums[None, idx]])
+            score.max(axis=1, out=top[lo:hi])
+            runs.append((lo, idx, score))
         rank = np.argsort(order)
+        top = top[rank]
         # the fast sums decide only which labellings get an exact
         # same_label_sum, node by node in batch order and then in
         # lexicographic order, so the first exact maximum wins and rounding
@@ -458,10 +497,10 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
             need = best_value - batch.cur[f]
             if top[f] < need - slack:
                 continue
-            lo, labels, score = runs[np.searchsorted(starts, rank[f], side="right")]
+            lo, idx, score = runs[np.searchsorted(starts, rank[f], side="right")]
             full = np.concatenate([batch.labels[f], np.zeros(R, dtype=np.intp)])
             for k in np.flatnonzero(score[rank[f] - lo] >= max(need, top[f]) - slack):
-                full[n - R :] = labels[:, k]
+                full[n - R :] = lab[idx[k]]
                 value = dist.same_label_sum(full)
                 if value > best_value:
                     best_value, best_grouping = value, Grouping.from_labels(full.tolist())

@@ -432,6 +432,31 @@ def test_cmd_verify_out_of_range_and_missing(worked_file, tmp_path, capsys):
     assert "not covered" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("listed, message", [
+    ("1 2 9\n3 4 5 6\n", "element 9 out of range 1..6"),
+    ("1 1 2\n3 4 5 6\n", "element 1 listed twice"),
+    ("1 2\n3 4\n", "elements not covered: [5, 6]"),
+])
+def test_cmd_verify_json_reports_a_non_partition(worked_file, tmp_path, capsys, listed, message):
+    # a --json consumer gets JSON for a solution that is not a partition
+    # too, with the plain text's message as its one violation
+    sol = tmp_path / "sol.txt"
+    sol.write_text(listed)
+    argv = ["verify", "--input", str(worked_file), "--solution", str(sol)]
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "instance": {"n": 6, "G": 3, "a": 2, "b": 3},
+        "solver": "verify",
+        "groups": [[int(e) for e in line.split()] for line in listed.splitlines()],
+        "feasible": False,
+        "violations": [message],
+    }
+    assert captured.err == ""
+    assert main(argv) == 2
+    assert capsys.readouterr().out == f"verification failure: {message}\n"
+
+
 def test_cmd_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "gen.txt"
     code = main(

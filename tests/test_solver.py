@@ -111,9 +111,9 @@ def test_enumeration_does_not_depend_on_the_batch_size(monkeypatch):
             assert got == _oracle_reference(inst), (floats, n, G, a, b)
         got = [g.groups for g in iter_set_partitions(6)]
         assert got == [_groups_of(x) for x in _filtered_label_tuples(6, 6, 0, 6)]
-        for key, (idx, labels) in zip(tails, expected_tails):
-            got_idx, got_labels = solver._completions.__wrapped__(*key)
-            assert got_idx.tobytes() == idx.tobytes() and got_labels.tobytes() == labels.tobytes()
+        for key, (idx, onehot) in zip(tails, expected_tails):
+            got_idx, got_onehot = solver._completions.__wrapped__(*key)
+            assert got_idx.tobytes() == idx.tobytes() and got_onehot.tobytes() == onehot.tobytes()
 
 
 def test_count_worked_example(worked_instance):
@@ -553,28 +553,58 @@ def _reference_suffix_table(d, t, a, b):
     return table
 
 
-def test_suffix_table_equals_the_plain_loop():
+def test_suffix_table_equals_the_plain_loop(monkeypatch):
     # signed, integer-tied and decimal-tied distances, zeros among them, at
     # every depth t including the empty suffix t = n; the bits must agree,
-    # since the search's node counts depend on them
+    # since the search's node counts depend on them. The tables come from one
+    # stack of every depth, from a stack of each depth alone, and from
+    # stacks split at a handful of floats; upper_bound and the search must
+    # both take theirs from the same routine
     rng = np.random.default_rng(13)
     draws = [
         lambda k: rng.uniform(-100, 100, k),
         lambda k: rng.integers(-2, 3, k).astype(float),
         lambda k: rng.choice([0.0, 0.1, 0.2, 0.3, 0.7], k),
     ]
+    build = solver._suffix_tables
+    calls = []
+
+    def spy(square, depths, a, b):
+        calls.append(list(depths))
+        return build(square, depths, a, b)
+
+    default = solver._TABLE_FLOATS
     for rep in range(60):
         n = int(rng.integers(1, 11))
         G = int(rng.integers(1, n + 1))
         a = int(rng.integers(1, n // G + 1))
         b = int(rng.integers(-(-n // G), n + 1))
-        square = DistanceMatrix(n, draws[rep % 3](n * (n - 1) // 2)).as_square()
+        dist = DistanceMatrix(n, draws[rep % 3](n * (n - 1) // 2))
+        square = dist.as_square()
         d = square.tolist()
-        for t in range(n + 1):
-            got = solver._suffix_table(square, t, a, b)
-            expected = _reference_suffix_table(d, t, a, b)
-            assert got.shape == expected.shape == (b + 1, n - t)
-            assert got.tobytes() == expected.tobytes(), (rep, n, a, b, t)
+        expected = [_reference_suffix_table(d, t, a, b) for t in range(n + 1)]
+        for floats in (default, 8):
+            monkeypatch.setattr(solver, "_TABLE_FLOATS", floats)
+            batched = build(square, range(n + 1), a, b)
+            alone = [build(square, [t], a, b)[0] for t in range(n + 1)]
+            assert len(batched) == n + 1
+            for t in range(n + 1):
+                for got in (batched[t], alone[t]):
+                    assert got.shape == expected[t].shape == (b + 1, n - t)
+                    assert got.tobytes() == expected[t].tobytes(), (rep, n, a, b, t, floats)
+        monkeypatch.setattr(solver, "_TABLE_FLOATS", default)
+        monkeypatch.setattr(solver, "_suffix_tables", spy)
+        inst = Instance(dist, G, a, b)
+        prefix = tuple((next(iter_feasible_partitions(inst)).label_array() + 1).tolist())
+        for t in range(n):
+            calls.clear()
+            upper_bound(SearchState(inst, prefix[:t]))
+            assert calls == [[t]]
+        calls.clear()
+        solve_bnb(inst)
+        R = max(r for r in range(1, n + 1) if r == 1 or G**r <= solver._TAIL_LABELLINGS)
+        assert calls == [list(range(1, n - R + 1))]
+        monkeypatch.setattr(solver, "_suffix_tables", build)
 
 
 def _reference_bound(state):
@@ -661,8 +691,10 @@ def test_tail_fits_are_the_restricted_growth_completions():
     # with at most 16 tail labellings R is 2 to 4 for G = 2..4, so prefixes
     # of every reachable sizes tuple exist; each one's completions, in
     # lexicographic order, are the tails of the feasible strings it starts
-    # (filtered from every label tuple, not enumerated by the search's rule),
-    # and each index is its labelling's rank among the G**R in that order.
+    # (filtered from every label tuple, not enumerated by the search's rule):
+    # row g * R + j of the one-hot marks the tails whose position j takes
+    # group g, and each index is its labelling's rank among the G**R in that
+    # order.
     # How the search scores them is checked end to end, against the oracle
     for n in range(1, 9):
         for G in range(1, min(n, 4) + 1):
@@ -675,8 +707,10 @@ def test_tail_fits_are_the_restricted_growth_completions():
                         completions.setdefault(labels[:t], []).append(labels[t:])
                     for prefix, tails in completions.items():
                         sizes = tuple(np.bincount(prefix, minlength=G).tolist())
-                        idx, tail_labels = solver._completions(R, a, b, sizes)
-                        assert [tuple(x) for x in tail_labels.T.tolist()] == tails, (n, G, a, b, prefix)
+                        idx, onehot = solver._completions(R, a, b, sizes)
+                        assert onehot.dtype == np.uint8
+                        expected = [[int(x[j] == g) for x in tails] for g in range(G) for j in range(R)]
+                        assert onehot.tolist() == expected, (n, G, a, b, prefix)
                         ranks = [sum(g * G ** (R - 1 - j) for j, g in enumerate(x)) for x in tails]
                         assert idx.tolist() == ranks
 
@@ -689,8 +723,8 @@ def test_tail_completions_are_shared_safely(monkeypatch):
     # bounds allows its only optimum, so a completion leaked from looser
     # bounds scores above the true optimum
     solver._completions.cache_clear()
-    idx, labels = solver._completions(6, 1, 5, (0, 0))
-    for cached in (idx, labels):
+    idx, onehot = solver._completions(6, 1, 5, (0, 0))
+    for cached in (idx, onehot):
         with pytest.raises(ValueError):
             cached[0] = 1
     rng = np.random.default_rng(12)
@@ -710,6 +744,48 @@ def test_tail_completions_are_shared_safely(monkeypatch):
     for inst in [Instance(six, 2, a, b) for a, b in bounds] + [Instance(four, 2, 1, 3)]:
         exact, result = solve_bruteforce(inst), solve_bnb(inst)
         assert (result.value, result.grouping.groups) == (exact.value, exact.grouping.groups)
+
+
+def test_tail_rounding_decides_nothing(monkeypatch):
+    # the tail's fast scores only choose which labellings get an exact
+    # same_label_sum, with _rounding_slack around every threshold, so a
+    # product a few ulps off must give the same bits, grouping and node
+    # count. Each one-hot entry is scaled by 1 + k*eps, k in -4..4, so
+    # labellings tied in exact arithmetic get scores ulps apart. The grid has
+    # signed, integer-tied and uniform distances, equal and unequal bounds,
+    # and tails below branching. The seed is weak, so that the tails raise
+    # the incumbent; from the heuristic's seed they rarely do
+    monkeypatch.setattr(solver, "multistart", _first_feasible)
+    rng = np.random.default_rng(21)
+    cases = []
+    for k in range(24):
+        n, G = int(rng.integers(6, 12)), int(rng.integers(2, 5))
+        a = int(rng.integers(1, n // G + 1))
+        b = int(rng.integers(-(-n // G), min(n, -(-n // G) + 2) + 1))
+        k_pairs = n * (n - 1) // 2
+        draws = [rng.uniform(-100, 100, k_pairs), rng.integers(-2, 3, k_pairs).astype(float),
+                 rng.integers(0, 4, k_pairs).astype(float), rng.uniform(0, 100, k_pairs)]
+        cases.append(Instance(DistanceMatrix(n, draws[k % 4]), G, a, b))
+    assert any(inst.a < inst.b for inst in cases) and any(inst.a == inst.b for inst in cases)
+
+    def key(result):
+        return result.value.hex(), result.grouping.groups, result.nodes_explored, result.proven
+
+    expected = [key(solve_bnb(inst)) for inst in cases]
+    exact = solver._completions
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        used = []
+
+        def perturbed(R, a, b, sizes):
+            idx, onehot = exact(R, a, b, sizes)
+            used.append(sizes)
+            ulps = np.random.default_rng([seed, *sizes]).integers(-4, 5, onehot.shape)
+            return idx, onehot * (1 + ulps * eps)
+
+        monkeypatch.setattr(solver, "_completions", perturbed)
+        assert [key(solve_bnb(inst)) for inst in cases] == expected, seed
+        assert used
 
 
 # (N, G, a, b, kind, seed) -> (nodes_explored, value.hex()): node counts do
