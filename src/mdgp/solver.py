@@ -34,13 +34,12 @@ that join it; their number lies between ``a-1-s`` and ``b-1-s`` for a group
 with ``s`` assigned members. The unassigned elements are always a suffix
 ``t..n-1`` of the index order, so the second part depends only on
 ``(t, u, s)`` and comes from a table built once per solve out of the
-distance square (:func:`_suffix_tables`): one sort of a stack holding every
-depth's suffix block, each masked out of the same square, and one running
-sum over it (past ``n = 26``, a few such stacks). The first part is kept per node, element and group, so a node
-costs ``O((n - t) * G)`` per child, without a sort. The bound holds for
-signed distances, and :func:`_completion_bounds` is its only
-implementation: :func:`upper_bound` replays a state through it as a batch
-of one, with its table from the same routine.
+distance square, with one sort of each row of the suffix block and one
+running sum over it (:func:`_suffix_table`). The first part is kept per
+node, element and group, so a node costs ``O((n - t) * G)`` per child,
+without a sort. The bound holds for signed distances, and
+:func:`_completion_bounds` is its only implementation: :func:`upper_bound`
+replays a state through it as a batch of one.
 
 The search does not branch on the last ``R`` elements, where ``R`` is the
 largest ``r <= n`` with ``G**r <= 1024`` (at least 1). A batch of nodes that
@@ -49,7 +48,10 @@ of the rest, and so does the root when ``n <= R``. Its nodes are sorted by
 sizes tuple, and each run of one tuple is scored by one matrix product: the
 nodes' gains, one column per (group, tail position) and a column of ones,
 times the run's 0/1 one-hot of its labellings with the sum of the tail pairs
-each one puts together as the last row. Every solve computes those pair sums
+each one puts together as the last row. At ``R = 1`` (``G >= 33``, or ``n = 1``) the
+product would spend ``G + 1`` multiply-adds where one gather does: a
+one-element tail has no pairs and its index is its label, so the scores are
+the gains at those indices. Every solve computes those pair sums
 once for all ``G**R`` labellings, and the scores are kept for the exact
 rescoring below. A prefix's completions are the :func:`_leaves` of ``R``
 more levels of the branching rule, shared with their one-hot by every solve
@@ -115,10 +117,6 @@ _TAIL_LABELLINGS = 1024
 _COMPLETIONS_CACHE = 256
 # the floats one branch-and-bound pass and the nodes it leaves pending may hold
 _BATCH_FLOATS = 1 << 20
-# the floats of one sorted stack of suffix tables: one sort up to n = 26.
-# Larger stacks sort more -inf padding and fall out of cache, so they are
-# slower than several small ones
-_TABLE_FLOATS = 1 << 14
 
 # the seed of the one heuristic restart that seeds the incumbent
 _SEED_SEED = 0
@@ -301,10 +299,8 @@ def solve_bruteforce(instance: Instance, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     )
 
 
-def _suffix_tables(square: np.ndarray, depths, a: int, b: int) -> list[np.ndarray]:
-    """The suffix table ``Q`` of each depth ``t`` in ``depths``, ascending.
-
-    ``Q[s, i]`` is the most that element ``u = t + i`` can gain from the
+def _suffix_table(square: np.ndarray, t: int, a: int, b: int) -> np.ndarray:
+    """``Q[s, i]``: the most that element ``u = t + i`` can gain from the
     unassigned elements ``t..n-1`` that end up in its group, when it joins a
     group holding ``s`` assigned members, for ``s = 0..b-1``; row ``b`` is
     ``-inf``, since a full group admits nobody.
@@ -312,40 +308,24 @@ def _suffix_tables(square: np.ndarray, depths, a: int, b: int) -> list[np.ndarra
     Each such pair counts at half weight (it is shared by both elements).
     ``u`` ends up with between ``a-1-s`` and ``b-1-s`` unassigned partners,
     so the value is the sum of its ``a-1-s`` largest half-distances into the
-    suffix plus the positive ones among the next ``b-a``: a running sum from
-    ``0.0`` over the first terms, largest first, added in that order.
-
-    Every depth's suffix block is cut out of the suffix of the first depth
-    as one layer of a stack, ``-inf`` outside it, and one sort of the stack
-    orders every row of every layer. A layer's ``-inf`` entries sort last
-    and add nothing to the sums read, so each table is bit for bit the one
-    its own block would give. A stack of more than ``_TABLE_FLOATS`` floats
-    is split into runs of depths that fit, so the sort's temporaries stay
-    small at any ``n``.
+    suffix plus the positive ones among the next ``b-a``. Each row of the
+    suffix block of ``square`` is sorted once, largest first, and the value
+    is a running sum from ``0.0`` over the first terms, added in that order.
     """
-    depths = list(depths)
-    if not depths:
-        return []
-    n, t0 = len(square), depths[0]
-    m0 = n - t0
-    fit = max(1, _TABLE_FLOATS // max(1, m0 * m0))
-    if len(depths) > fit:
-        return _suffix_tables(square, depths[:fit], a, b) + _suffix_tables(square, depths[fit:], a, b)
-    t = np.array(depths)[:, None, None]
-    u = np.arange(t0, n)
+    m = len(square) - t
+    half = 0.5 * square[t:, t:]
     # u is not its own partner: its -inf sorts last and is dropped
-    inside = (u[:, None] >= t) & (u >= t) & (u[:, None] != u)
-    vals = np.sort(np.where(inside, 0.5 * square[t0:, t0:], -math.inf), axis=-1)[..., :0:-1]
-    sums = np.concatenate([np.zeros((len(depths), m0, 1)), vals], axis=-1).cumsum(axis=-1)
+    np.fill_diagonal(half, -math.inf)
+    vals = np.sort(half, axis=1)[:, :0:-1]
+    sums = np.hstack([np.zeros((m, 1)), vals]).cumsum(axis=1)
     # the a-1-s largest terms and the positive ones after them, at most
     # b-1-s in all and at most the m-1 there are
     s = np.arange(b)[:, None]
-    positive = (vals > 0).sum(axis=-1)[:, None]
-    m = n - t
+    positive = (vals > 0).sum(axis=1)
     taken = np.minimum(np.minimum(b - 1 - s, m - 1), np.maximum(a - 1 - s, positive))
-    tables = np.full((len(depths), b + 1, m0), -math.inf)
-    tables[:, :b] = np.take_along_axis(sums, taken.transpose(0, 2, 1), axis=-1).transpose(0, 2, 1)
-    return [table[:, d - t0 :] for table, d in zip(tables, depths)]
+    table = np.full((b + 1, m), -math.inf)
+    table[:b] = sums[np.arange(m), taken]
+    return table
 
 
 def _completion_bounds(A: np.ndarray, sizes: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -354,8 +334,8 @@ def _completion_bounds(A: np.ndarray, sizes: np.ndarray, Q: np.ndarray) -> np.nd
 
     ``A[f, g, i]`` is the signed sum of distances from ``u = t + i`` to the
     members of group ``g`` at node ``f``, ``sizes[f, g]`` is that group's
-    size (both zero for a group not yet opened) and ``Q`` is depth ``t``'s
-    table from :func:`_suffix_tables`. The completion value splits over the
+    size (both zero for a group not yet opened) and ``Q`` is
+    ``_suffix_table(square, t, a, b)``. The completion value splits over the
     unassigned elements as ``sum_u A[g(u), u] + 1/2 sum_{w unassigned,
     g(w) = g(u)} d[u][w]``, because every pair of unassigned elements
     appears in both of their terms. Each ``u`` joins exactly one group
@@ -387,7 +367,7 @@ def upper_bound(state: SearchState) -> float:
     for v, lab in enumerate(state.labels):
         A[0, lab - 1] += square[v, t:]
         sizes[0, lab - 1] += 1
-    (Q,) = _suffix_tables(square, [t], inst.a, inst.b)
+    Q = _suffix_table(square, t, inst.a, inst.b)
     return float(_completion_bounds(A, sizes, Q)[0])
 
 
@@ -463,7 +443,7 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     pair_sums = np.where(lab[:, iu] == lab[:, ju], within, 0.0).sum(axis=1)
     slack = _rounding_slack(instance)
     # the suffix table of the children of depth t, for every branching depth
-    tables = _suffix_tables(square, range(1, n - R + 1), a, b)
+    tables = [_suffix_table(square, t + 1, a, b) for t in range(n - R)]
     node_budget = opts.node_budget
     nodes = 0
     exhausted = False
@@ -483,7 +463,10 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
         top, runs = np.empty(len(order)), []
         for key, lo, hi in zip(sizes[edges[:-1]].tolist(), edges, edges[1:]):
             idx, onehot = _completions(R, a, b, tuple(key))
-            score = gains[lo:hi] @ np.concatenate([onehot, pair_sums[None, idx]])
+            if R == 1:
+                score = gains[lo:hi].take(idx, axis=1)
+            else:
+                score = gains[lo:hi] @ np.concatenate([onehot, pair_sums[None, idx]])
             score.max(axis=1, out=top[lo:hi])
             runs.append((lo, idx, score))
         rank = np.argsort(order)

@@ -556,24 +556,21 @@ def _reference_suffix_table(d, t, a, b):
 def test_suffix_table_equals_the_plain_loop(monkeypatch):
     # signed, integer-tied and decimal-tied distances, zeros among them, at
     # every depth t including the empty suffix t = n; the bits must agree,
-    # since the search's node counts depend on them. The tables come from one
-    # stack of every depth, from a stack of each depth alone, and from
-    # stacks split at a handful of floats; upper_bound and the search must
-    # both take theirs from the same routine
+    # since the search's node counts depend on them. upper_bound and the
+    # search must both take their tables from the same routine
     rng = np.random.default_rng(13)
     draws = [
         lambda k: rng.uniform(-100, 100, k),
         lambda k: rng.integers(-2, 3, k).astype(float),
         lambda k: rng.choice([0.0, 0.1, 0.2, 0.3, 0.7], k),
     ]
-    build = solver._suffix_tables
+    build = solver._suffix_table
     calls = []
 
-    def spy(square, depths, a, b):
-        calls.append(list(depths))
-        return build(square, depths, a, b)
+    def spy(square, t, a, b):
+        calls.append(t)
+        return build(square, t, a, b)
 
-    default = solver._TABLE_FLOATS
     for rep in range(60):
         n = int(rng.integers(1, 11))
         G = int(rng.integers(1, n + 1))
@@ -582,29 +579,23 @@ def test_suffix_table_equals_the_plain_loop(monkeypatch):
         dist = DistanceMatrix(n, draws[rep % 3](n * (n - 1) // 2))
         square = dist.as_square()
         d = square.tolist()
-        expected = [_reference_suffix_table(d, t, a, b) for t in range(n + 1)]
-        for floats in (default, 8):
-            monkeypatch.setattr(solver, "_TABLE_FLOATS", floats)
-            batched = build(square, range(n + 1), a, b)
-            alone = [build(square, [t], a, b)[0] for t in range(n + 1)]
-            assert len(batched) == n + 1
-            for t in range(n + 1):
-                for got in (batched[t], alone[t]):
-                    assert got.shape == expected[t].shape == (b + 1, n - t)
-                    assert got.tobytes() == expected[t].tobytes(), (rep, n, a, b, t, floats)
-        monkeypatch.setattr(solver, "_TABLE_FLOATS", default)
-        monkeypatch.setattr(solver, "_suffix_tables", spy)
+        for t in range(n + 1):
+            got = build(square, t, a, b)
+            expected = _reference_suffix_table(d, t, a, b)
+            assert got.shape == expected.shape == (b + 1, n - t)
+            assert got.tobytes() == expected.tobytes(), (rep, n, a, b, t)
+        monkeypatch.setattr(solver, "_suffix_table", spy)
         inst = Instance(dist, G, a, b)
         prefix = tuple((next(iter_feasible_partitions(inst)).label_array() + 1).tolist())
         for t in range(n):
             calls.clear()
             upper_bound(SearchState(inst, prefix[:t]))
-            assert calls == [[t]]
+            assert calls == [t]
         calls.clear()
         solve_bnb(inst)
         R = max(r for r in range(1, n + 1) if r == 1 or G**r <= solver._TAIL_LABELLINGS)
-        assert calls == [list(range(1, n - R + 1))]
-        monkeypatch.setattr(solver, "_suffix_tables", build)
+        assert calls == list(range(1, n - R + 1))
+        monkeypatch.setattr(solver, "_suffix_table", build)
 
 
 def _reference_bound(state):
@@ -685,6 +676,30 @@ def test_bnb_one_element_tail():
     assert result.proven
     assert result.value == inst.dist.condensed().max()
     assert objective_value(result.grouping, inst.dist) == result.value
+
+
+def test_one_element_tails_equal_the_oracle(monkeypatch):
+    # a one-element tail is scored by one gather instead of the product:
+    # with at most 2 tail labellings every G >= 2 has R = 1, so signed and
+    # integer-tied distances at small n reach that path, from a weak seed too
+    monkeypatch.setattr(solver, "_TAIL_LABELLINGS", 2)
+    rng = np.random.default_rng(35)
+    for k in range(16):
+        n, G = int(rng.integers(4, 9)), int(rng.integers(2, 4))
+        a = int(rng.integers(1, n // G + 1))
+        b = int(rng.integers(-(-n // G), n + 1))
+        k_pairs = n * (n - 1) // 2
+        draws = [rng.uniform(-100, 100, k_pairs), rng.integers(-2, 3, k_pairs).astype(float)]
+        inst = Instance(DistanceMatrix(n, draws[k % 2]), G, a, b)
+        exact = solve_bruteforce(inst)
+        for seed in (solver.multistart, _first_feasible):
+            monkeypatch.setattr(solver, "multistart", seed)
+            result = solve_bnb(inst)
+            assert result.proven and result.value == exact.value, k
+            assert objective_value(result.grouping, inst.dist) == result.value
+            # integer ties leave more than one optimum to keep
+            if k % 2 == 0:
+                assert result.grouping.groups == exact.grouping.groups, k
 
 
 def test_tail_fits_are_the_restricted_growth_completions():
