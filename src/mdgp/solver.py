@@ -45,19 +45,16 @@ The search does not branch on the last ``R`` elements, where ``R`` is the
 largest ``r <= n`` with ``G**r <= 1024`` (at least 1). A batch of nodes that
 have assigned the first ``n - R`` elements scores every feasible labelling
 of the rest, and so does the root when ``n <= R``. Its nodes are sorted by
-sizes tuple, and each run of one tuple is scored by one matrix product: the
-nodes' gains, one column per (group, tail position) and a column of ones,
-times the run's 0/1 one-hot of its labellings with the sum of the tail pairs
-each one puts together as the last row. At ``R = 1`` (``G >= 33``, or ``n = 1``) the
-product would spend ``G + 1`` multiply-adds where one gather does: a
-one-element tail has no pairs and its index is its label, so the scores are
-the gains at those indices. Every solve computes those pair sums
-once for all ``G**R`` labellings, and the scores are kept for the exact
-rescoring below. A prefix's completions are the :func:`_leaves` of ``R``
-more levels of the branching rule, shared with their one-hot by every solve
-of the same ``(G, a, b, R)`` in a process and built by the first
-(:func:`_completions`, an LRU of 256 entries that stays under 18 MB for
-``G <= 256``). Each such tail counts as one node:
+sizes tuple, and each run of one tuple is scored by one matrix product, the
+nodes' gains, one column per (group, tail position), times the run's 0/1
+one-hot of its labellings, plus one add of the sum of the tail pairs each
+labelling puts together. Every solve computes those pair sums once for all
+``G**R`` labellings (all zero when ``R = 1``), and the scores are kept for
+the exact rescoring below. A prefix's completions are the :func:`_leaves`
+of ``R`` more levels of the branching rule, shared with their one-hot by
+every solve of the same ``(G, a, b, R)`` in a process and built by the
+first (:func:`_completions`, an LRU of 256 entries that stays under 18 MB
+for ``G <= 256``). Each such tail counts as one node:
 ``nodes_explored`` counts the branching nodes plus the tails. A node budget
 truncates the batch that would exceed it, so ``nodes_explored`` never
 exceeds it. The time budget counts from the call, seed included: the seed
@@ -79,10 +76,10 @@ of tails tries them node by node in batch order, then in lexicographic
 order, so rounding never picks a tie. Nor does the BLAS that computes the
 product, whatever order or thread count it sums in: the distances are
 finite, so every gain is and a zero of the one-hot adds an exact zero, and
-each score is a sum of ``R + 1`` terms whose error, about ``n * eps *
-sum|d|``, lies far inside the ``_rounding_slack`` kept around every
-threshold a score meets. The value, the grouping and the node count are the
-same at every BLAS thread count.
+each score is a one-hot product of ``R`` gains plus one add of a pair sum,
+whose error, about ``n * eps * sum|d|``, lies far inside the
+``_rounding_slack`` kept around every threshold a score meets. The value,
+the grouping and the node count are the same at every BLAS thread count.
 
 The float contract of both solvers: a proven ``value`` is within
 ``_rounding_slack(instance)`` (``N**2 * eps * sum|d|``) of every feasible
@@ -454,19 +451,15 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
         nonlocal best_value, best_grouping
         order = np.lexsort(batch.sizes.T[::-1])
         sizes = batch.sizes[order]
-        # column g * R + j of gains is group g's gain at tail position j; the
-        # last column, of ones, picks up the pair sums
-        gains = np.ones((len(order), G * R + 1))
-        gains[:, :-1] = batch.A[order].reshape(len(order), -1)
+        # column g * R + j of gains is group g's gain at tail position j
+        gains = batch.A[order].reshape(len(order), -1)
         starts = np.flatnonzero((sizes[1:] != sizes[:-1]).any(axis=1)) + 1
         edges = [0, *starts.tolist(), len(order)]
         top, runs = np.empty(len(order)), []
         for key, lo, hi in zip(sizes[edges[:-1]].tolist(), edges, edges[1:]):
             idx, onehot = _completions(R, a, b, tuple(key))
-            if R == 1:
-                score = gains[lo:hi].take(idx, axis=1)
-            else:
-                score = gains[lo:hi] @ np.concatenate([onehot, pair_sums[None, idx]])
+            score = gains[lo:hi] @ onehot
+            score += pair_sums[idx]
             score.max(axis=1, out=top[lo:hi])
             runs.append((lo, idx, score))
         rank = np.argsort(order)

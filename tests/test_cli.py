@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,8 +10,9 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mdgp import Grouping, cli, objective_value
+from mdgp import Grouping, cli, objective_value, solver
 from mdgp.cli import (
     ParseError,
     REPORT_SCHEMA,
@@ -395,6 +398,22 @@ def test_cmd_verify_feasible(worked_file, tmp_path, capsys):
     assert report["gap"] == 0.0
 
 
+def test_cmd_verify_elapsed_excludes_oracle(worked_file, tmp_path, monkeypatch, capsys):
+    def slow_gap(inst, value):
+        time.sleep(0.5)
+        return 0.0
+
+    monkeypatch.setattr(cli, "_oracle_gap", slow_gap)
+    sol = tmp_path / "sol.txt"
+    sol.write_text("1 5\n2 4\n3 6\n")
+    code = main(["verify", "--input", str(worked_file), "--solution", str(sol),
+                 "--against-oracle", "--json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["gap"] == 0.0
+    assert report["elapsed_ms"] < 500
+
+
 def test_cmd_verify_infeasible_still_reports_value(worked_file, tmp_path, capsys):
     sol = tmp_path / "sol.txt"
     sol.write_text("1 3 6\n2 4 5\n")
@@ -608,6 +627,50 @@ def test_cmd_solve_bad_numeric_flags(worked_file, capsys):
     code = main(["solve", "--input", str(worked_file), "--time-limit", "nan"])
     assert code == 2
     assert "time_budget" in capsys.readouterr().err
+
+
+@st.composite
+def _dist_texts(draw):
+    """DIST instance text with N <= 7: integer values in -2..3, which tie
+    often, or signed floats, written with their repr."""
+    n = draw(st.integers(1, 7))
+    G = draw(st.integers(1, n))
+    a = draw(st.integers(1, n // G))
+    b = draw(st.integers(-(-n // G), n))
+    value = st.one_of(st.integers(-2, 3).map(str),
+                      st.floats(-100, 100, allow_subnormal=False).map(repr))
+    rows = [" ".join(draw(st.lists(value, min_size=n - i, max_size=n - i)))
+            for i in range(1, n)]
+    return "\n".join([f"{n} {G} {a} {b}", "DIST", *rows]) + "\n"
+
+
+def _run_main(*argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 0, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    return json.loads(out.getvalue())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_dist_texts())
+def test_dist_text_solves_and_verifies(tmp_path_factory, text):
+    # instance text through the whole command line: the branch-and-bound
+    # matches the oracle within rounding, and its groups verify as feasible
+    # at exactly the value it reports
+    folder = tmp_path_factory.mktemp("dist")
+    inst_path, sol_path = folder / "inst.txt", folder / "sol.txt"
+    inst_path.write_text(text)
+    bnb = _run_main("solve", "--input", str(inst_path), "--solver", "bnb", "--json")
+    exact = _run_main("solve", "--input", str(inst_path), "--solver", "bruteforce", "--json")
+    slack = solver._rounding_slack(parse_instance(text).instance)
+    assert abs(bnb["value"] - exact["value"]) <= slack
+    sol_path.write_text("".join(" ".join(map(str, g)) + "\n" for g in bnb["groups"]))
+    checked = _run_main("verify", "--input", str(inst_path), "--solution", str(sol_path),
+                        "--json")
+    assert checked["feasible"] is True
+    assert checked["value"] == bnb["value"]
 
 
 # ---------------------------------------------------------------------------

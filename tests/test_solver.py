@@ -384,7 +384,9 @@ def test_bnb_does_not_depend_on_the_batch_size(monkeypatch):
     # passes sized from _BATCH_FLOATS split batches in different places, and
     # the incumbent rises between passes, so node counts may move; value,
     # grouping and proof may not. One-node passes also pop batches that the
-    # incumbent has wholly overtaken since they were bounded
+    # incumbent has wholly overtaken since they were bounded. Integer
+    # distances in 0..3 tie many labellings exactly, so the tail's rescoring
+    # in batch order is what keeps the grouping fixed
     rng = np.random.default_rng(15)
     cases = []
     for k in range(12):
@@ -392,6 +394,12 @@ def test_bnb_does_not_depend_on_the_batch_size(monkeypatch):
         a = int(rng.integers(1, n // G + 1))
         b = int(rng.integers(-(-n // G), n + 1))
         cases.append(random_instance(100 + k, n, G, a, b, low=-100.0 * (k % 2)))
+    for k in range(8):
+        n, G = int(rng.integers(8, 13)), int(rng.integers(3, 5))
+        a = int(rng.integers(1, n // G + 1))
+        b = int(rng.integers(-(-n // G), n + 1))
+        cond = rng.integers(0, 4, size=n * (n - 1) // 2)
+        cases.append(Instance(DistanceMatrix(n, cond), G, a, b))
     default = solver._BATCH_FLOATS
     for seed in (solver.multistart, _first_feasible):
         monkeypatch.setattr(solver, "multistart", seed)
