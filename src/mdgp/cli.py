@@ -287,41 +287,13 @@ def worked_example_instance() -> Instance:
     return Instance(distance_matrix(table, "manhattan"), G=3, a=2, b=3)
 
 
-@dataclass(frozen=True)
-class DemonstrationReport:
-    correct_value: float
-    correct_groups: tuple[tuple[int, ...], ...]
-    degree_only_value: float
-    degree_only_groups: tuple[tuple[int, ...], ...]
-    violated: tuple[str, ...]
-
-    def summary(self) -> str:
-        return (
-            f"correct: {self.correct_value:g}, "
-            f"degree-only: {self.degree_only_value:g}, "
-            f"violated: {','.join(self.violated)}"
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "correct": {
-                "value": self.correct_value,
-                "groups": [list(g) for g in self.correct_groups],
-            },
-            "degree_only": {
-                "value": self.degree_only_value,
-                "groups": [list(g) for g in self.degree_only_groups],
-            },
-            "violated": list(self.violated),
-        }
-
-
-def demonstrate() -> DemonstrationReport:
+def demonstrate() -> dict:
     """Why degree bounds alone are not enough, end to end on the worked instance.
 
     The correct formulation's optimum respects G=3; dropping the group-count
     machinery admits a strictly better partition into two groups, whose
-    encoding violates exactly the leader-count row of the full model.
+    encoding violates exactly the leader-count row of the full model. The
+    returned dict is the report that `mdgp demonstrate --json` prints.
     """
     inst = worked_example_instance()
     exact = solve_bruteforce(inst)
@@ -337,35 +309,21 @@ def demonstrate() -> DemonstrationReport:
     witness = Grouping([(1, 3, 6), (2, 4, 5)])
     assert objective_value(witness, inst.dist) == best_value
 
-    report = check_assignment(build_unequal(inst), encode_grouping(witness, "unequal"))
-    return DemonstrationReport(
-        correct_value=exact.value,
-        correct_groups=correct_witness.groups,
-        degree_only_value=best_value,
-        degree_only_groups=witness.groups,
-        violated=report.violations,
-    )
+    check = check_assignment(build_unequal(inst), encode_grouping(witness, "unequal"))
+    return {
+        "correct": {"value": exact.value, "groups": [list(g) for g in correct_witness.groups]},
+        "degree_only": {"value": best_value, "groups": [list(g) for g in witness.groups]},
+        "violated": list(check.violations),
+    }
 
 
 def _fmt_groups(groups) -> str:
     return " ".join("{" + ",".join(str(e) for e in g) + "}" for g in groups)
 
 
-def _print_report(report: dict, as_json: bool):
-    """Render a solve report (a dict matching REPORT_SCHEMA) as JSON or text."""
-    if as_json:
-        print(json.dumps(report, indent=2))
-        return
-    inst = report["instance"]
-    print(f"instance: n={inst['n']} G={inst['G']} a={inst['a']} b={inst['b']}")
-    print(f"solver: {report['solver']}")
-    print(f"value: {report['value']:g}")
-    print(f"groups: {_fmt_groups(report['groups'])}")
-    print(f"proven: {'yes' if report['proven'] else 'no'}")
-    print(f"nodes: {report['nodes']}")
-    print(f"elapsed: {report['elapsed_ms']:.1f} ms")
-    if "gap" in report:
-        print(f"gap vs exact optimum: {report['gap']:g}")
+def _emit(as_json: bool, report: dict, lines: list[str]):
+    """Every command's one output path: the report as JSON, or its text lines."""
+    print(json.dumps(report, indent=2) if as_json else "\n".join(lines))
 
 
 def _load(args) -> Instance:
@@ -377,6 +335,10 @@ def _load(args) -> Instance:
 
 def _instance_dict(inst: Instance) -> dict:
     return {"n": inst.n, "G": inst.G, "a": inst.a, "b": inst.b}
+
+
+def _instance_line(inst: Instance) -> str:
+    return f"instance: n={inst.n} G={inst.G} a={inst.a} b={inst.b}"
 
 
 def _oracle_gap(inst: Instance, value: float) -> float | None:
@@ -392,12 +354,11 @@ def _cmd_solve(args) -> int:
 
     if args.export_lp and args.solver is None:
         Path(args.export_lp).write_text(export_lp(build_model(inst, variant)))
-        if args.json:
-            exported = {"instance": _instance_dict(inst), "model": args.model,
-                        "exported_lp": args.export_lp}
-            print(json.dumps(exported, indent=2))
-        else:
-            print(f"exported {args.model} model ({inst.n} elements) to {args.export_lp}")
+        _emit(
+            args.json,
+            {"instance": _instance_dict(inst), "model": args.model, "exported_lp": args.export_lp},
+            [f"exported {args.model} model ({inst.n} elements) to {args.export_lp}"],
+        )
         return 0
 
     if variant == "degree_only":
@@ -430,33 +391,45 @@ def _cmd_solve(args) -> int:
     if args.export_lp:
         Path(args.export_lp).write_text(export_lp(build_model(inst, variant)))
 
+    groups = [list(g) for g in found.grouping.groups]
     report = {
         "instance": _instance_dict(inst),
         "solver": solver,
         "value": found.value,
-        "groups": [list(g) for g in found.grouping.groups],
+        "groups": groups,
         "proven": proven,
         "elapsed_ms": elapsed_ms,
         "nodes": nodes,
     }
+    lines = [
+        _instance_line(inst),
+        f"solver: {solver}",
+        f"value: {found.value:g}",
+        f"groups: {_fmt_groups(groups)}",
+        f"proven: {'yes' if proven else 'no'}",
+        f"nodes: {nodes}",
+        f"elapsed: {elapsed_ms:.1f} ms",
+    ]
     if gap is not None:
         report["gap"] = gap
-    _print_report(report, args.json)
+        lines.append(f"gap vs exact optimum: {gap:g}")
+    _emit(args.json, report, lines)
     return 3 if solver == "bnb" and not proven else 0
 
 
 def _cmd_demonstrate(args) -> int:
-    rep = demonstrate()
-    if args.json:
-        print(json.dumps(rep.to_dict(), indent=2))
-        return 0
-    print("worked example: six elements valued 1..6, manhattan, G=3, a=2, b=3")
-    print(f"correct formulation optimum: {rep.correct_value:g}")
-    print(f"  attained by: {_fmt_groups(rep.correct_groups)}")
-    print(f"degree-bounds-only optimum (any group count): {rep.degree_only_value:g}")
-    print(f"  attained by: {_fmt_groups(rep.degree_only_groups)} (2 groups, not 3)")
-    print(f"  full-model rows violated by that encoding: {','.join(rep.violated)}")
-    print(rep.summary())
+    report = demonstrate()
+    correct, relaxed = report["correct"], report["degree_only"]
+    violated = ",".join(report["violated"])
+    _emit(args.json, report, [
+        "worked example: six elements valued 1..6, manhattan, G=3, a=2, b=3",
+        f"correct formulation optimum: {correct['value']:g}",
+        f"  attained by: {_fmt_groups(correct['groups'])}",
+        f"degree-bounds-only optimum (any group count): {relaxed['value']:g}",
+        f"  attained by: {_fmt_groups(relaxed['groups'])} (2 groups, not 3)",
+        f"  full-model rows violated by that encoding: {violated}",
+        f"correct: {correct['value']:g}, degree-only: {relaxed['value']:g}, violated: {violated}",
+    ])
     return 0
 
 
@@ -481,18 +454,18 @@ def _cmd_verify(args) -> int:
 
     problem = _partition_problem(raw_groups, inst.n)
     if problem is not None:
-        if args.json:
-            # no grouping, so no value: the report carries what was listed
-            out = {
+        # no grouping, so no value: the report carries what was listed
+        _emit(
+            args.json,
+            {
                 "instance": _instance_dict(inst),
                 "solver": "verify",
                 "groups": raw_groups,
                 "feasible": False,
                 "violations": [problem],
-            }
-            print(json.dumps(out, indent=2))
-        else:
-            print(f"verification failure: {problem}")
+            },
+            [f"verification failure: {problem}"],
+        )
         return 2
 
     t0 = time.perf_counter()
@@ -512,28 +485,26 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
 
-    if args.json:
-        out = {
-            "instance": _instance_dict(inst),
-            "solver": "verify",
-            "value": value,
-            "groups": [list(g) for g in grouping.groups],
-            "feasible": feas.feasible,
-            "violations": list(feas.violations),
-            "elapsed_ms": elapsed_ms,
-        }
-        if gap is not None:
-            out["gap"] = gap
-        print(json.dumps(out, indent=2))
-    else:
-        print(f"instance: n={inst.n} G={inst.G} a={inst.a} b={inst.b}")
-        print(f"solution: {_fmt_groups(grouping.groups)}")
-        print(f"value: {value:g}")
-        print(f"feasible: {'yes' if feas.feasible else 'no'}")
-        for v in feas.violations:
-            print(f"  - {v}")
-        if gap is not None:
-            print(f"gap vs exact optimum: {gap:g}")
+    report = {
+        "instance": _instance_dict(inst),
+        "solver": "verify",
+        "value": value,
+        "groups": [list(g) for g in grouping.groups],
+        "feasible": feas.feasible,
+        "violations": list(feas.violations),
+        "elapsed_ms": elapsed_ms,
+    }
+    lines = [
+        _instance_line(inst),
+        f"solution: {_fmt_groups(grouping.groups)}",
+        f"value: {value:g}",
+        f"feasible: {'yes' if feas.feasible else 'no'}",
+        *(f"  - {v}" for v in feas.violations),
+    ]
+    if gap is not None:
+        report["gap"] = gap
+        lines.append(f"gap vs exact optimum: {gap:g}")
+    _emit(args.json, report, lines)
     return 0 if feas.feasible else 2
 
 

@@ -78,10 +78,9 @@ def test_criterion_02_defective_formulation_counterexample():
     rep = demonstrate()
     elapsed = time.perf_counter() - t0
     ok = (
-        rep.degree_only_value == 16.0
-        and rep.degree_only_groups == ((1, 3, 6), (2, 4, 5))
-        and rep.violated == ("lcount",)
-        and rep.correct_value == 9.0
+        rep["degree_only"] == {"value": 16.0, "groups": [[1, 3, 6], [2, 4, 5]]}
+        and rep["violated"] == ["lcount"]
+        and rep["correct"]["value"] == 9.0
         and elapsed < 1.0
     )
     _report(2, "degree-only relaxation reaches 16 and violates exactly lcount", ok,

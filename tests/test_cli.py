@@ -209,13 +209,11 @@ def test_parse_solution_rejects_garbage():
 # ---------------------------------------------------------------------------
 
 def test_demonstrate_report_values():
+    # the text summary line is pinned by EXACT_CASES["demonstrate-text"]
     rep = demonstrate()
-    assert rep.correct_value == 9.0
-    assert rep.degree_only_value == 16.0
-    assert rep.violated == ("lcount",)
-    assert rep.correct_groups == ((1, 5), (2, 4), (3, 6))
-    assert rep.degree_only_groups == ((1, 3, 6), (2, 4, 5))
-    assert rep.summary() == "correct: 9, degree-only: 16, violated: lcount"
+    assert rep["correct"] == {"value": 9.0, "groups": [[1, 5], [2, 4], [3, 6]]}
+    assert rep["degree_only"] == {"value": 16.0, "groups": [[1, 3, 6], [2, 4, 5]]}
+    assert rep["violated"] == ["lcount"]
 
 
 def test_demonstrate_idempotent():
@@ -722,6 +720,18 @@ EXACT_CASES = {
         "elapsed: 0.0 ms\n",
         "",
     ),
+    "solve-bruteforce-text": (
+        ["solve", "--input", "{worked}", "--solver", "bruteforce"],
+        0,
+        "instance: n=6 G=3 a=2 b=3\n"
+        "solver: bruteforce\n"
+        "value: 9\n"
+        "groups: {1,4} {2,5} {3,6}\n"
+        "proven: yes\n"
+        "nodes: 15\n"
+        "elapsed: 0.0 ms\n",
+        "",
+    ),
     "solve-model-equal": (
         ["solve", "--input", "{worked}", "--model", "equal", "--json"],
         0,
@@ -741,6 +751,12 @@ EXACT_CASES = {
             {"instance": {"n": 6, "G": 3, "a": 2, "b": 3}, "model": "unequal",
              "exported_lp": "{lp}"}
         ),
+        "",
+    ),
+    "export-only-text": (
+        ["solve", "--input", "{worked}", "--export-lp", "{lp}"],
+        0,
+        "exported unequal model (6 elements) to {lp}\n",
         "",
     ),
     "verify-oracle-past-cap": (
@@ -792,6 +808,16 @@ EXACT_CASES = {
         "correct: 9, degree-only: 16, violated: lcount\n",
         "",
     ),
+    "demonstrate-json": (
+        ["demonstrate", "--json"],
+        0,
+        _json_text({
+            "correct": {"value": 9.0, "groups": [[1, 5], [2, 4], [3, 6]]},
+            "degree_only": {"value": 16.0, "groups": [[1, 3, 6], [2, 4, 5]]},
+            "violated": ["lcount"],
+        }),
+        "",
+    ),
     "verify-json": (
         ["verify", "--input", "{worked}", "--solution", "{sol}", "--json"],
         0,
@@ -824,6 +850,20 @@ EXACT_CASES = {
         "value: 16\n"
         "feasible: no\n"
         "  - group count 2 != G=3\n",
+        "",
+    ),
+    "verify-violations-json": (
+        ["verify", "--input", "{worked}", "--solution", "{two_groups}", "--json"],
+        2,
+        _json_text({
+            "instance": {"n": 6, "G": 3, "a": 2, "b": 3},
+            "solver": "verify",
+            "value": 16.0,
+            "groups": [[1, 3, 6], [2, 4, 5]],
+            "feasible": False,
+            "violations": ["group count 2 != G=3"],
+            "elapsed_ms": 0.0,
+        }),
         "",
     ),
     "gen-stdout": (
