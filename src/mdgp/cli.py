@@ -177,6 +177,8 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
             k = int(mode[1])
         except ValueError:
             raise ParseError("ATTR needs an integer column count", mode_lineno) from None
+        if k < 1:
+            raise ParseError("ATTR column count must be >= 1", mode_lineno)
         if not body:
             raise ParseError("missing schema line after ATTR", mode_lineno)
         schema_lineno, schema_line = body[0]
@@ -351,8 +353,12 @@ def _oracle_gap(inst: Instance, value: float) -> float | None:
 def _cmd_solve(args) -> int:
     inst = _load(args)
     variant = args.model.replace("-", "_")
+    export_only = args.export_lp and args.solver is None
+    # refused before any LP is written, like every other invalid request
+    if args.time_limit is not None and (export_only or args.solver not in (None, "bnb")):
+        raise ValueError("--time-limit applies to --solver bnb only")
 
-    if args.export_lp and args.solver is None:
+    if export_only:
         Path(args.export_lp).write_text(export_lp(build_model(inst, variant)))
         _emit(
             args.json,
@@ -536,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=None,
                          help="seed, required for --solver heuristic")
     p_solve.add_argument("--time-limit", type=float, default=None,
-                         help="wall-clock budget in seconds for bnb, "
+                         help="wall-clock budget in seconds, bnb only, "
                          "counted from the start: the heuristic seed uses it too")
     p_solve.add_argument("--json", action="store_true", help="machine-readable report")
     p_solve.add_argument("--export-lp", metavar="PATH", default=None,

@@ -111,6 +111,8 @@ INPUT_ERRORS = {
                       "ATTR needs a column count: ATTR K", 2),
     "attr-count-not-integer": (parse_instance, "3 1 3 3\nATTR one\nnum\n1\n2\n3\n",
                                "ATTR needs an integer column count", 2),
+    "attr-count-0": (parse_instance, "3 1 3 3\nATTR 0\n\n1 2 3\n",
+                     "ATTR column count must be >= 1", 2),
     "attr-no-schema": (parse_instance, "3 1 3 3\n\nATTR 1\n# no schema\n",
                        "missing schema line after ATTR", 3),
     "attr-bad-schema": (parse_instance, "3 1 3 3\nATTR 2\nnum int\n1 2\n2 3\n3 4\n",
@@ -329,8 +331,12 @@ def test_cmd_solve_export_n3(tmp_path, capsys):
         ["--model", "degree-only", "--solver", "bnb"],
         ["--solver", "heuristic"],
         ["--solver", "heuristic", "--seed", "1", "--restarts", "0"],
+        ["--solver", "bruteforce", "--time-limit", "0.001"],
+        ["--solver", "heuristic", "--seed", "1", "--time-limit", "nan"],
+        ["--time-limit", "1"],
     ],
-    ids=["degree-only", "no-seed", "zero-restarts"],
+    ids=["degree-only", "no-seed", "zero-restarts", "bruteforce-time-limit",
+         "heuristic-time-limit", "export-only-time-limit"],
 )
 def test_cmd_solve_refusal_writes_no_lp(worked_file, tmp_path, capsys, flags):
     lp_path = tmp_path / "model.lp"
