@@ -397,12 +397,11 @@ def _cmd_solve(args) -> int:
     if args.export_lp:
         Path(args.export_lp).write_text(export_lp(build_model(inst, variant)))
 
-    groups = [list(g) for g in found.grouping.groups]
     report = {
         "instance": _instance_dict(inst),
         "solver": solver,
         "value": found.value,
-        "groups": groups,
+        "groups": [list(g) for g in found.grouping.groups],
         "proven": proven,
         "elapsed_ms": elapsed_ms,
         "nodes": nodes,
@@ -411,7 +410,7 @@ def _cmd_solve(args) -> int:
         _instance_line(inst),
         f"solver: {solver}",
         f"value: {found.value:g}",
-        f"groups: {_fmt_groups(groups)}",
+        f"groups: {_fmt_groups(found.grouping.groups)}",
         f"proven: {'yes' if proven else 'no'}",
         f"nodes: {nodes}",
         f"elapsed: {elapsed_ms:.1f} ms",
@@ -542,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=None,
                          help="seed, required for --solver heuristic")
     p_solve.add_argument("--time-limit", type=float, default=None,
-                         help="wall-clock budget in seconds, bnb only, "
+                         help="wall-clock budget in seconds for bnb, "
                          "counted from the start: the heuristic seed uses it too")
     p_solve.add_argument("--json", action="store_true", help="machine-readable report")
     p_solve.add_argument("--export-lp", metavar="PATH", default=None,
