@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -55,6 +56,8 @@ from .solver import (
 )
 
 CLI_MODELS = ("equal", "unequal", "degree-only")
+# the one solver that reads each solver flag; any other request refuses it
+_SOLVER_FLAGS = {"time_limit": "bnb", "restarts": "heuristic", "seed": "heuristic"}
 
 
 class ParseError(ValueError):
@@ -107,6 +110,20 @@ def _significant_lines(text: str):
             yield lineno, stripped
 
 
+def _floats(tokens: list, cols, lineno: int, malformed: str, non_finite: str) -> list:
+    """Parse ``tokens[i]`` for each i in `cols` to a finite float, in place, and
+    return `tokens`. A malformed token is reported before a non-finite one;
+    `malformed` may name the token as ``{!r}``."""
+    for i in cols:
+        try:
+            tokens[i] = float(tokens[i])
+        except ValueError:
+            raise ParseError(malformed.format(tokens[i]), lineno) from None
+    if not all(map(math.isfinite, map(tokens.__getitem__, cols))):
+        raise ParseError(non_finite, lineno)
+    return tokens
+
+
 def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
     """Parse the instance grammar above; `metric` applies to ATTR bodies."""
     lines = list(_significant_lines(text))
@@ -114,11 +131,8 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
         raise ParseError("empty instance file")
 
     lineno, header = lines[0]
-    tokens = header.split()
-    if len(tokens) != 4:
-        raise ParseError("header must be 4 integers: N G a b", lineno)
     try:
-        n, g, a, b = (int(t) for t in tokens)
+        n, g, a, b = (int(t) for t in header.split())
     except ValueError:
         raise ParseError("header must be 4 integers: N G a b", lineno) from None
     if n < 1:
@@ -129,6 +143,7 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
     mode_lineno, mode_line = lines[1]
     mode = mode_line.split()
     body = lines[2:]
+    table = None
     warnings: list[str] = []
 
     if mode[0] == "DIST":
@@ -139,7 +154,6 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
                 f"DIST body needs {n - 1} rows, found {len(body)}", mode_lineno
             )
         condensed: list[float] = []
-        negatives = 0
         for row_idx, (row_lineno, row) in enumerate(body, 1):
             values = row.split()
             if len(values) != n - row_idx:
@@ -147,15 +161,9 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
                     f"row {row_idx} needs {n - row_idx} values, found {len(values)}",
                     row_lineno,
                 )
-            try:
-                parsed = [float(v) for v in values]
-            except ValueError:
-                raise ParseError("malformed distance value", row_lineno) from None
-            if not all(math.isfinite(v) for v in parsed):
-                raise ParseError("all distances must be finite", row_lineno)
-            negatives += sum(1 for v in parsed if v < 0)
-            condensed.extend(parsed)
-        if negatives:
+            condensed += _floats(values, range(len(values)), row_lineno,
+                                 "malformed distance value", "all distances must be finite")
+        if negatives := sum(1 for v in condensed if v < 0):
             warnings.append(
                 f"{negatives} negative distance(s) accepted; no formulation step "
                 "requires nonnegativity"
@@ -164,13 +172,8 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
             dist = DistanceMatrix(n, condensed)
         except ValueError as exc:  # the sum of the whole body overflows
             raise ParseError(str(exc), mode_lineno) from None
-        try:
-            instance = Instance(dist, g, a, b)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        return LoadedInstance(instance, None, tuple(warnings))
 
-    if mode[0] == "ATTR":
+    elif mode[0] == "ATTR":
         if len(mode) != 2:
             raise ParseError("ATTR needs a column count: ATTR K", mode_lineno)
         try:
@@ -190,37 +193,28 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
             raise ParseError(
                 f"ATTR body needs {n} rows, found {len(rows_lines)}", schema_lineno
             )
+        num = [i for i, kind in enumerate(schema) if kind == "num"]
         rows = []
         for row_lineno, row in rows_lines:
             values = row.split()
             if len(values) != k:
                 raise ParseError(f"row needs {k} values, found {len(values)}", row_lineno)
-            parsed_row = []
-            for kind, tok in zip(schema, values):
-                if kind == "num":
-                    try:
-                        value = float(tok)
-                    except ValueError:
-                        raise ParseError(
-                            f"malformed numeric value {tok!r}", row_lineno
-                        ) from None
-                    if not math.isfinite(value):
-                        raise ParseError("non-finite numeric value", row_lineno)
-                    parsed_row.append(value)
-                else:
-                    parsed_row.append(tok)
-            rows.append(tuple(parsed_row))
-        try:
-            table = AttributeTable(rows, schema)
-            dist = distance_matrix(table, metric)
-            instance = Instance(dist, g, a, b)
-        except SchemaError:
-            raise
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        return LoadedInstance(instance, table, tuple(warnings))
+            rows.append(_floats(values, num, row_lineno,
+                                "malformed numeric value {!r}", "non-finite numeric value"))
+        table = AttributeTable(rows, schema)
 
-    raise ParseError(f"expected DIST or ATTR, found {mode[0]!r}", mode_lineno)
+    else:
+        raise ParseError(f"expected DIST or ATTR, found {mode[0]!r}", mode_lineno)
+
+    try:
+        if table is not None:
+            dist = distance_matrix(table, metric)
+        instance = Instance(dist, g, a, b)
+    except SchemaError:
+        raise
+    except ValueError as exc:  # the header's G, a and b, or an overflowing metric
+        raise ParseError(str(exc), lineno) from None
+    return LoadedInstance(instance, table, tuple(warnings))
 
 
 def _parse_kind(kind: str) -> tuple[int, int]:
@@ -323,13 +317,27 @@ def _fmt_groups(groups) -> str:
     return " ".join("{" + ",".join(str(e) for e in g) + "}" for g in groups)
 
 
+def _write(text: str):
+    """Write to stdout. A reader that closed the pipe has read all it wanted:
+    stdout goes to the null device, so the flush at exit cannot fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(as_json: bool, report: dict, lines: list[str]):
     """Every command's one output path: the report as JSON, or its text lines."""
-    print(json.dumps(report, indent=2) if as_json else "\n".join(lines))
+    _write((json.dumps(report, indent=2) if as_json else "\n".join(lines)) + "\n")
 
 
 def _load(args) -> Instance:
-    loaded = parse_instance(Path(args.input).read_text(), metric=args.metric)
+    loaded = parse_instance(Path(args.input).read_text(), metric=args.metric or "manhattan")
+    if args.metric is not None and loaded.table is None:
+        raise ValueError("--metric applies to ATTR instances only")
     for w in loaded.warnings:
         print(f"warning: {w}", file=sys.stderr)
     return loaded.instance
@@ -354,9 +362,11 @@ def _cmd_solve(args) -> int:
     inst = _load(args)
     variant = args.model.replace("-", "_")
     export_only = args.export_lp and args.solver is None
+    solver = None if export_only else args.solver or "bnb"
     # refused before any LP is written, like every other invalid request
-    if args.time_limit is not None and (export_only or args.solver not in (None, "bnb")):
-        raise ValueError("--time-limit applies to --solver bnb only")
+    for flag, reader in _SOLVER_FLAGS.items():
+        if getattr(args, flag) is not None and solver != reader:
+            raise ValueError(f"--{flag.replace('_', '-')} applies to --solver {reader} only")
 
     if export_only:
         Path(args.export_lp).write_text(export_lp(build_model(inst, variant)))
@@ -378,12 +388,12 @@ def _cmd_solve(args) -> int:
         size = _equal_size(inst)
         inst = Instance(inst.dist, inst.G, size, size)
 
-    solver = args.solver or "bnb"
     t0 = time.perf_counter()
     if solver == "heuristic":
         if args.seed is None:
             raise ValueError("--solver heuristic requires --seed")
-        found = multistart(inst, restarts=args.restarts, seed=args.seed)
+        restarts = 20 if args.restarts is None else args.restarts
+        found = multistart(inst, restarts=restarts, seed=args.seed)
     elif solver == "bnb":
         found = solve_bnb(inst, SolveOptions(time_budget=args.time_limit))
     else:
@@ -518,7 +528,7 @@ def _cmd_gen(args) -> int:
     if args.output:
         Path(args.output).write_text(text)
     else:
-        sys.stdout.write(text)
+        _write(text)
     return 0
 
 
@@ -532,11 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("--input", required=True, help="instance file path")
-    p_solve.add_argument("--metric", choices=METRICS, default="manhattan",
-                         help="distance metric for ATTR instances")
+    p_solve.add_argument("--metric", choices=METRICS, default=None,
+                         help="distance metric for ATTR instances (default: manhattan)")
     p_solve.add_argument("--solver", choices=("bnb", "bruteforce", "heuristic"),
                          default=None, help="search strategy (default: bnb)")
-    p_solve.add_argument("--restarts", type=int, default=20,
+    p_solve.add_argument("--restarts", type=int, default=None,
                          help="heuristic restarts (default: 20)")
     p_solve.add_argument("--seed", type=int, default=None,
                          help="seed, required for --solver heuristic")
@@ -561,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check a solution file against an instance")
     p_verify.add_argument("--input", required=True, help="instance file path")
     p_verify.add_argument("--solution", required=True, help="solution file path")
-    p_verify.add_argument("--metric", choices=METRICS, default="manhattan",
-                          help="distance metric for ATTR instances")
+    p_verify.add_argument("--metric", choices=METRICS, default=None,
+                          help="distance metric for ATTR instances (default: manhattan)")
     p_verify.add_argument("--against-oracle", action="store_true",
                           help="also report the optimality gap (small n only)")
     p_verify.add_argument("--json", action="store_true", help="machine-readable report")

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdgp import Grouping, cli, objective_value, solver
+from mdgp import METRICS, Grouping, SchemaError, cli, objective_value, solver
 from mdgp.cli import (
     ParseError,
     REPORT_SCHEMA,
@@ -102,11 +102,21 @@ INPUT_ERRORS = {
     "empty-file": (parse_instance, "# only a comment\n\n", "empty instance file", None),
     "header-not-integer": (parse_instance, "3 1 3 x\nDIST\n1 2\n3\n",
                            "header must be 4 integers: N G a b", 1),
+    "header-three-tokens": (parse_instance, "3 1 3\nDIST\n1 2\n3\n",
+                            "header must be 4 integers: N G a b", 1),
+    "header-five-tokens": (parse_instance, "3 1 3 3 3\nDIST\n1 2\n3\n",
+                           "header must be 4 integers: N G a b", 1),
     "missing-section": (parse_instance, "# header only\n3 1 3 3\n",
                         "missing DIST or ATTR section", 2),
     "dist-arguments": (parse_instance, "3 1 3 3\nDIST 2\n1 2\n3\n", "DIST takes no arguments", 2),
     "dist-row-count": (parse_instance, "3 1 3 3\nDIST\n1 2\n",
                        "DIST body needs 2 rows, found 1", 2),
+    "dist-row-width": (parse_instance, "3 1 3 3\nDIST\n1\n3\n", "row 1 needs 2 values, found 1", 3),
+    "dist-malformed-value": (parse_instance, "3 1 3 3\nDIST\n1 oops\n3\n",
+                             "malformed distance value", 3),
+    # a malformed token is reported before a non-finite one in the same row
+    "dist-malformed-and-inf": (parse_instance, "3 1 3 3\nDIST\ninf x\n3\n",
+                               "malformed distance value", 3),
     "attr-no-count": (parse_instance, "3 1 3 3\nATTR\nnum\n1\n2\n3\n",
                       "ATTR needs a column count: ATTR K", 2),
     "attr-count-not-integer": (parse_instance, "3 1 3 3\nATTR one\nnum\n1\n2\n3\n",
@@ -123,6 +133,9 @@ INPUT_ERRORS = {
                        "row needs 1 values, found 2", 5),
     "attr-malformed-value": (parse_instance, "3 1 3 3\nATTR 2\nnum cat\n1 a\n2 b\nx c\n",
                              "malformed numeric value 'x'", 6),
+    # the same precedence as in a DIST row
+    "attr-malformed-and-inf": (parse_instance, "3 1 3 3\nATTR 2\nnum num\ninf x\n1 2\n3 4\n",
+                               "malformed numeric value 'x'", 4),
     "unknown-section": (parse_instance, "3 1 3 3\nDISTANCES\n1 2\n3\n",
                         "expected DIST or ATTR, found 'DISTANCES'", 2),
     "uniformkd-0": (_gen_kind, "uniformkd:0", "uniformkd needs at least one column", None),
@@ -334,9 +347,13 @@ def test_cmd_solve_export_n3(tmp_path, capsys):
         ["--solver", "bruteforce", "--time-limit", "0.001"],
         ["--solver", "heuristic", "--seed", "1", "--time-limit", "nan"],
         ["--time-limit", "1"],
+        ["--solver", "bnb", "--seed", "3"],
+        ["--solver", "bruteforce", "--restarts", "-5", "--seed", "3"],
+        ["--seed", "1"],
     ],
     ids=["degree-only", "no-seed", "zero-restarts", "bruteforce-time-limit",
-         "heuristic-time-limit", "export-only-time-limit"],
+         "heuristic-time-limit", "export-only-time-limit", "bnb-seed", "bruteforce-restarts",
+         "export-only-seed"],
 )
 def test_cmd_solve_refusal_writes_no_lp(worked_file, tmp_path, capsys, flags):
     lp_path = tmp_path / "model.lp"
@@ -344,6 +361,38 @@ def test_cmd_solve_refusal_writes_no_lp(worked_file, tmp_path, capsys, flags):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not lp_path.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--restarts", "0"], "--restarts applies to --solver heuristic only"),
+    (["--solver", "bruteforce", "--seed", "3"], "--seed applies to --solver heuristic only"),
+    (["--solver", "heuristic", "--seed", "3", "--time-limit", "1"],
+     "--time-limit applies to --solver bnb only"),
+], ids=["bnb-restarts", "bruteforce-seed", "heuristic-time-limit"])
+def test_cmd_solve_names_the_solver_a_flag_belongs_to(worked_file, capsys, flags, message):
+    assert main(["solve", "--input", str(worked_file), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cmd_metric_on_a_dist_body_refused(command, tmp_path, capsys):
+    # a DIST body carries its distances: no metric applies to it
+    path = tmp_path / "dist.txt"
+    path.write_text("3 1 3 3\nDIST\n1 2\n3\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("1 2 3\n")
+    argv = {
+        "solve": ["solve", "--input", str(path)],
+        "verify": ["verify", "--input", str(path), "--solution", str(sol)],
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--metric", "euclidean"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --metric applies to ATTR instances only\n"
+    assert captured.out == ""
 
 
 def test_cmd_solve_heuristic_elapsed_excludes_oracle(worked_file, monkeypatch, capsys):
@@ -657,6 +706,79 @@ def _run_main(*argv) -> dict:
     return json.loads(out.getvalue())
 
 
+_EDIT_TOKENS = ("x", "inf", "nan", "1e308", "num", "cat", "DIST", "ATTR", "#",
+                "-1", "0", "1", "2", "3")
+
+
+@st.composite
+def _mutated_texts(draw):
+    """A valid instance text, `gen` ATTR output with N <= 8 or signed DIST
+    text, with one to three token or line edits."""
+    kind = draw(st.sampled_from(("uniform1d", "uniformkd:2", "mixed:1,2", None)))
+    if kind is None:
+        text = draw(_dist_texts())
+    else:
+        n = draw(st.integers(1, 8))
+        G = draw(st.integers(1, n))
+        a = draw(st.integers(1, n // G))
+        b = draw(st.integers(-(-n // G), n))
+        text = gen_instance(n, G, a, b, kind, seed=draw(st.integers(0, 2**32)))
+    lines = [line.split() for line in text.splitlines()]
+    token = st.sampled_from(_EDIT_TOKENS)
+    for _ in range(draw(st.integers(1, 3))):
+        # counted from the end: small draws, which hypothesis favours, edit body rows
+        i = len(lines) - 1 - draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        edit = draw(st.sampled_from(("replace", "insert", "drop", "drop-line", "copy-line",
+                                     "new-line")))
+        if edit == "replace" and j < len(lines[i]):
+            lines[i][j] = draw(token)
+        elif edit == "insert":
+            lines[i].insert(j, draw(token))
+        elif edit == "drop" and j < len(lines[i]):
+            del lines[i][j]
+        elif edit == "drop-line" and len(lines) > 1:
+            del lines[i]
+        elif edit == "copy-line":
+            lines.insert(i, list(lines[i]))
+        elif edit == "new-line":
+            lines.insert(i, draw(st.lists(token, min_size=1, max_size=3)))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mutated_texts(), st.sampled_from((None, *METRICS)))
+def test_mutated_instance_text_is_read_or_refused(tmp_path_factory, text, metric):
+    # every edit of a valid text is read as an instance of the header's N, or
+    # refused with a line of the text; through main it exits 0 or 2, never
+    # with a traceback, and a solved report follows REPORT_SCHEMA
+    loaded = None
+    try:
+        loaded = parse_instance(text, metric or "manhattan")
+    except ParseError as exc:
+        assert exc.line is None or 1 <= exc.line <= len(text.splitlines())
+    except SchemaError:
+        pass
+    if loaded is not None:
+        header = next(line for line in text.splitlines()
+                      if line.strip() and not line.strip().startswith("#"))
+        assert loaded.instance.n == int(header.split()[0])
+        if loaded.instance.n > 8:
+            return
+    path = tmp_path_factory.mktemp("mutated") / "inst.txt"
+    path.write_text(text)
+    argv = ["solve", "--input", str(path), "--solver", "bruteforce", "--json"]
+    if metric is not None:
+        argv += ["--metric", metric]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        jsonschema.validate(json.loads(out.getvalue()), REPORT_SCHEMA)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_dist_texts())
 def test_dist_text_solves_and_verifies(tmp_path_factory, text):
@@ -918,16 +1040,18 @@ def test_cmd_exact_output(name, tmp_path, capsys):
 # the process exit code is the one `main` returns
 # ---------------------------------------------------------------------------
 
+ROOT = Path(__file__).resolve().parents[1]
+CLI = [sys.executable, "-m", "mdgp.cli"]
+CLI_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
 @pytest.mark.parametrize("argv, code", [
     (["demonstrate"], 0),
     (["solve", "--input", "/nonexistent/file.txt"], 2),
 ], ids=["demonstrate", "missing-input"])
 def test_cli_process_exit_code(argv, code):
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     proc = subprocess.run(
-        [sys.executable, "-m", "mdgp.cli", *argv],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        [*CLI, *argv], cwd=ROOT, env=CLI_ENV, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -935,3 +1059,23 @@ def test_cli_process_exit_code(argv, code):
         assert proc.stderr.startswith("error:")
     else:
         assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "{worked}", "--solver", "bruteforce", "--json"],
+    ["gen", "--n", "6", "--g", "3", "--a", "2", "--b", "2", "--seed", "1"],
+], ids=["solve", "gen"])
+def test_cli_closed_stdout_is_not_an_error(argv, tmp_path):
+    # the reader goes away before the report is written, as with `| head -c 1`:
+    # the command keeps its own exit code and says nothing on stderr
+    worked = tmp_path / "worked.txt"
+    worked.write_text(WORKED_FILE)
+    proc = subprocess.Popen(
+        [*CLI, *(arg.format(worked=worked) for arg in argv)], cwd=ROOT, env=CLI_ENV,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    # the child imports numpy for well over 100 ms before it writes
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0, err
+    assert err == b""
