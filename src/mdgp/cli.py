@@ -23,7 +23,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .core import (
@@ -386,7 +386,7 @@ def _cmd_solve(args) -> int:
         )
     if variant == "equal":
         size = _equal_size(inst)
-        inst = Instance(inst.dist, inst.G, size, size)
+        inst = replace(inst, a=size, b=size)
 
     t0 = time.perf_counter()
     if solver == "heuristic":

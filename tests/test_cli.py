@@ -12,7 +12,17 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdgp import METRICS, Grouping, SchemaError, cli, objective_value, solver
+from mdgp import (
+    METRICS,
+    Grouping,
+    SchemaError,
+    canonicalize,
+    cli,
+    decode_partition,
+    encode_grouping,
+    objective_value,
+    solver,
+)
 from mdgp.cli import (
     ParseError,
     REPORT_SCHEMA,
@@ -697,13 +707,20 @@ def _dist_texts(draw):
     return "\n".join([f"{n} {G} {a} {b}", "DIST", *rows]) + "\n"
 
 
-def _run_main(*argv) -> dict:
+def _call_main(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one `main` call, which never prints a
+    traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    assert code == 0, err.getvalue()
     assert "Traceback" not in err.getvalue()
-    return json.loads(out.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_main(*argv) -> dict:
+    code, out, err = _call_main(*argv)
+    assert code == 0, err
+    return json.loads(out)
 
 
 _EDIT_TOKENS = ("x", "inf", "nan", "1e308", "num", "cat", "DIST", "ATTR", "#",
@@ -797,6 +814,152 @@ def test_dist_text_solves_and_verifies(tmp_path_factory, text):
                         "--json")
     assert checked["feasible"] is True
     assert checked["value"] == bnb["value"]
+
+
+_INSTANCE_SCHEMA = REPORT_SCHEMA["properties"]["instance"]
+_GROUPS_SCHEMA = REPORT_SCHEMA["properties"]["groups"]
+_STRINGS_SCHEMA = {"type": "array", "items": {"type": "string"}}
+
+
+def _object_schema(required: dict, optional: dict | None = None) -> dict:
+    return {
+        "type": "object",
+        "properties": {**required, **(optional or {})},
+        "required": list(required),
+        "additionalProperties": False,
+    }
+
+
+def _validator(schema: dict) -> jsonschema.Draft202012Validator:
+    # the schema is checked once here: jsonschema.validate checks it again
+    # on every call, which would be most of a fuzz test's time
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
+
+
+# the report shapes besides a solve's REPORT_SCHEMA
+VERIFY_SCHEMA = _object_schema(
+    {"instance": _INSTANCE_SCHEMA, "solver": {"const": "verify"}, "value": {"type": "number"},
+     "groups": _GROUPS_SCHEMA, "feasible": {"type": "boolean"},
+     "violations": _STRINGS_SCHEMA, "elapsed_ms": {"type": "number"}},
+    {"gap": {"type": "number"}},
+)
+NON_PARTITION_SCHEMA = _object_schema(
+    {"instance": _INSTANCE_SCHEMA, "solver": {"const": "verify"}, "groups": _GROUPS_SCHEMA,
+     "feasible": {"const": False},
+     "violations": {**_STRINGS_SCHEMA, "minItems": 1, "maxItems": 1}},
+)
+EXPORT_SCHEMA = _object_schema(
+    {"instance": _INSTANCE_SCHEMA, "model": {"enum": list(cli.CLI_MODELS)},
+     "exported_lp": {"type": "string"}},
+)
+_VALUED_GROUPS_SCHEMA = _object_schema({"value": {"type": "number"}, "groups": _GROUPS_SCHEMA})
+DEMONSTRATE_SCHEMA = _object_schema(
+    {"correct": _VALUED_GROUPS_SCHEMA, "degree_only": _VALUED_GROUPS_SCHEMA,
+     "violated": _STRINGS_SCHEMA},
+)
+_SOLVE, _VERIFY, _NON_PARTITION, _EXPORT = map(
+    _validator, (REPORT_SCHEMA, VERIFY_SCHEMA, NON_PARTITION_SCHEMA, EXPORT_SCHEMA))
+
+
+def test_demonstrate_report_follows_its_schema():
+    jsonschema.validate(_run_main("demonstrate", "--json"), DEMONSTRATE_SCHEMA)
+
+
+_NUM_TOKENS = ("0.1", "0.2", "0.30000000000000004", "-0.0", "1e-300",
+               "-2", "-1", "0", "1", "2", "3")
+_CAT_TOKENS = ("a", "b", "1", "1.0")  # labels compare as text: "1" != "1.0"
+_GAPS = (" ", "\t", "  ", " \t ")
+_EDGES = ("", " ", "\t", "  ")
+_NOISE = ("", "   ", "\t", "# comment", "  # indented comment", "#")
+
+
+@st.composite
+def _attr_cases(draw):
+    """A metric and a valid ATTR instance text with N <= 8 and 1-3 num or cat
+    columns: decimal ties, -0.0, 1e-300 and small integers, tokens split by
+    spaces and tabs, lines padded and mixed with comments and blank lines.
+    A cat column, which only gower accepts, is rarer under the other metrics."""
+    metric = draw(st.sampled_from(METRICS))
+    n = draw(st.integers(1, 8))
+    G = draw(st.integers(1, n))
+    a = draw(st.integers(1, n // G))
+    b = draw(st.integers(-(-n // G), n))
+    kinds = ("num", "cat") if metric == "gower" else ("num",) * 5 + ("cat",)
+    schema = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    pools = {"num": st.sampled_from(_NUM_TOKENS), "cat": st.sampled_from(_CAT_TOKENS)}
+    rows = [[str(n), str(G), str(a), str(b)], ["ATTR", str(len(schema))], schema]
+    rows += [[draw(pools[kind]) for kind in schema] for _ in range(n)]
+    lines = []
+    for tokens in rows:
+        lines += draw(st.lists(st.sampled_from(_NOISE), max_size=1))
+        line = tokens[0]
+        for token in tokens[1:]:
+            line += draw(st.sampled_from(_GAPS)) + token
+        lines.append(draw(st.sampled_from(_EDGES)) + line + draw(st.sampled_from(_EDGES)))
+    return "\n".join(lines) + "\n", metric
+
+
+def _solution_text(groups) -> str:
+    return "".join(" ".join(map(str, g)) + "\n" for g in groups if g)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_attr_cases())
+def test_attr_text_solves_exports_and_verifies(tmp_path_factory, case):
+    # a valid ATTR body through every command, its metric named: the exact
+    # solvers agree within rounding, the heuristic stays below them, the
+    # groups verify at bnb's value and survive encode and decode, each LP is
+    # whole, and every report follows its schema
+    text, metric = case
+    folder = tmp_path_factory.mktemp("attr")
+    inst_path, sol_path, lp_path = folder / "inst.txt", folder / "sol.txt", folder / "m.lp"
+    inst_path.write_text(text)
+    source = ("--input", str(inst_path), "--metric", metric)
+    code, out, err = _call_main("solve", *source, "--solver", "bnb", "--json")
+    if code == 2:
+        assert metric != "gower" and "cat" in text.split()
+        assert err == (f"error: {metric} distance requires an all-numeric schema; "
+                       "use gower for mixed attributes\n")
+        return
+    assert code == 0, err
+    bnb = json.loads(out)
+    exact = _run_main("solve", *source, "--solver", "bruteforce", "--json")
+    heuristic = _run_main("solve", *source, "--solver", "heuristic", "--restarts", "3",
+                          "--seed", "0", "--json")
+    for report in (bnb, exact, heuristic):
+        _SOLVE.validate(report)
+    inst = parse_instance(text, metric).instance
+    slack = solver._rounding_slack(inst)
+    assert abs(bnb["value"] - exact["value"]) <= slack
+    assert heuristic["value"] <= exact["value"] + slack
+
+    for found in (bnb, heuristic):
+        sol_path.write_text(_solution_text(found["groups"]))
+        checked = _run_main("verify", *source, "--solution", str(sol_path), "--json")
+        _VERIFY.validate(checked)
+        assert checked["feasible"] is True
+        assert checked["value"] == found["value"]
+
+    grouping = Grouping(bnb["groups"])
+    assert decode_partition(encode_grouping(grouping).x, inst.n) == canonicalize(grouping)
+    if inst.n > 1:
+        # element n dropped: a non-partition, reported as such
+        sol_path.write_text(_solution_text([[e for e in g if e != inst.n] for g in bnb["groups"]]))
+        code, out, err = _call_main("verify", *source, "--solution", str(sol_path), "--json")
+        assert code == 2 and err == ""
+        report = json.loads(out)
+        _NON_PARTITION.validate(report)
+        assert report["violations"] == [f"elements not covered: [{inst.n}]"]
+
+    for model in cli.CLI_MODELS:
+        if model == "equal" and inst.n % inst.G:
+            continue
+        exported = _run_main("solve", *source, "--model", model, "--export-lp", str(lp_path),
+                             "--json")
+        _EXPORT.validate(exported)
+        lp = lp_path.read_text()
+        assert lp.startswith("\\ ") and lp.rstrip().endswith("End")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from mdgp import (
     objective_value,
     validate_grouping,
 )
+from mdgp.core import _pair_index
 from conftest import TOL, random_instance
 
 
@@ -406,3 +407,27 @@ def test_condensed_pair_order():
     assert [d.lookup(i, j) for i, j in combinations(range(1, 5), 2)] == [
         12.0, 13.0, 14.0, 23.0, 24.0, 34.0,
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_as_square_is_stored_once_and_read_only(n):
+    rng = np.random.default_rng(n)
+    cond = rng.uniform(-100.0, 100.0, n * (n - 1) // 2)
+    zero = rng.integers(len(cond)) if len(cond) else None  # n=1 has no pair
+    if zero is not None:
+        cond[zero] = -0.0
+    d = DistanceMatrix(n, cond)
+    square = d.as_square()
+    assert d.as_square() is square
+    assert not square.flags.writeable
+    with pytest.raises(ValueError):
+        square[0, 0] = 1.0
+    m = np.zeros((n, n))
+    m[_pair_index(n)] = cond
+    assert square.tobytes() == (m + m.T).tobytes()
+    looked_up = [[d.lookup(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    assert np.array(looked_up).tobytes() == square.tobytes()
+    if zero is not None:
+        # the square adds +0.0 to the stored -0.0: both read it as 0.0
+        i, j = (int(idx[zero]) + 1 for idx in _pair_index(n))
+        assert math.copysign(1.0, d.lookup(i, j)) == math.copysign(1.0, d.lookup(j, i)) == 1.0

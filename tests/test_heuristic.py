@@ -239,6 +239,23 @@ def test_local_search_skips_tied_steps_that_do_not_improve():
     assert sorted(result.groups) == [(1, 3), (2, 4)]
 
 
+def test_local_search_stops_when_the_exact_sum_does_not_rise(worked_instance, monkeypatch):
+    # the float-drift guard: a step the deltas call improving whose
+    # recomputed sum does not rise ends the search before that step
+    start = Grouping([(1, 2), (3, 4), (5, 6)])
+    assert local_search(worked_instance, start) != start
+    sums = []
+    real = DistanceMatrix.same_label_sum
+
+    def stalled(self, labels):
+        sums.append(sums[0] if sums else real(self, labels))
+        return sums[-1]
+
+    monkeypatch.setattr(DistanceMatrix, "same_label_sum", stalled)
+    assert local_search(worked_instance, start) == start
+    assert len(sums) == 2
+
+
 def test_local_search_rejects_infeasible_start(worked_instance):
     with pytest.raises(ValueError, match="infeasible"):
         local_search(worked_instance, Grouping([(1, 2, 3), (4, 5, 6)]))

@@ -1,10 +1,16 @@
 """Import hygiene: every name a module of the package imports is used in it,
 every private module-level name it defines is used somewhere in the package,
-and importing the package loads no scipy.
+importing the package loads no scipy, and every Python file of the project
+runs on Python 3.10, the oldest version ``pyproject.toml`` accepts.
 
 No linter ships with the test dependencies, so the first two checks walk the
 modules' syntax trees. ``__init__.py`` is skipped by the first: its imports
 are re-exports.
+
+The 3.10 check parses with ``ast.parse(source, feature_version=(3, 10))``,
+which rejects 3.11 grammar such as ``except*``. It does not reject PEP 646
+star annotations (``*args: *Ts``, ``tuple[*Ts]``), so those would pass
+unnoticed. It also lists the imports of stdlib names new in 3.11.
 """
 
 import ast
@@ -15,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mdgp"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mdgp"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -94,3 +101,65 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# stdlib modules, and names of stdlib modules, that Python 3.11 added
+NEW_IN_311_MODULES = {"tomllib"}
+NEW_IN_311_NAMES = {
+    "typing": {"Self", "LiteralString", "Never", "assert_never", "reveal_type"},
+    "enum": {"StrEnum"},
+    "datetime": {"UTC"},
+    "asyncio": {"TaskGroup"},
+}
+PROJECT_SOURCES = sorted(
+    str(p.relative_to(ROOT))
+    for folder in ("src", "tests", "demos", "bench") for p in (ROOT / folder).rglob("*.py")
+)
+
+
+def needs_python_311(source: str) -> list[str]:
+    """What `source` takes from Python 3.11 or later: a syntax error under
+    the 3.10 grammar, or each import of a module or name new in 3.11, also
+    read as an attribute of its module (``import typing as t; t.Self``)."""
+    try:
+        tree = ast.parse(source, feature_version=(3, 10))
+    except SyntaxError as exc:
+        return [f"line {exc.lineno}: {exc.msg}"]
+    found, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                aliases[a.asname or a.name] = a.name
+                if a.name in NEW_IN_311_MODULES:
+                    found.append(a.name)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in NEW_IN_311_MODULES:
+                found.append(node.module)
+            new = NEW_IN_311_NAMES.get(node.module, set())
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name in new]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = aliases.get(node.value.id)
+            if node.attr in NEW_IN_311_NAMES.get(module, ()):
+                found.append(f"{module}.{node.attr}")
+    return found
+
+
+def test_checker_flags_python_311_grammar_and_names():
+    # the message and line differ between Python versions
+    flagged = needs_python_311("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert len(flagged) == 1 and flagged[0].startswith("line ")
+    source = ("import tomllib\nimport datetime as dt\nimport typing\n"
+              "from enum import Enum, StrEnum\nfrom asyncio import TaskGroup\n"
+              "print(dt.UTC, typing.Self, typing.Optional, dt.timezone)\n")
+    assert sorted(needs_python_311(source)) == [
+        "asyncio.TaskGroup", "datetime.UTC", "enum.StrEnum", "tomllib", "typing.Self",
+    ]
+    # 3.10 grammar and names pass
+    assert needs_python_311("match x:\n    case 1:\n        pass\n"
+                            "from typing import TypeAlias\n") == []
+
+
+@pytest.mark.parametrize("path", PROJECT_SOURCES)
+def test_source_runs_on_python_310(path):
+    assert needs_python_311((ROOT / path).read_text()) == []
