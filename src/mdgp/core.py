@@ -105,10 +105,12 @@ class DistanceMatrix:
             )
         if expected and not np.all(np.isfinite(condensed)):
             raise ValueError("all distances must be finite")
-        # every objective, swap delta and bound adds up disjoint pairs, so a
-        # finite absolute sum keeps all of them finite
+        # an objective adds disjoint pairs, but a local-search swap score adds
+        # two row sums and -2·d, and a branch-and-bound value plus its bound
+        # adds a prefix sum to a bound over the rest: each is at most
+        # 4·sum|d| in size, so that must stay finite
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.abs(condensed).sum()):
+            if not np.isfinite(4.0 * np.abs(condensed).sum()):
                 raise ValueError("distances too large: their absolute sum overflows")
         condensed.flags.writeable = False
         m = np.zeros((n, n))
@@ -157,6 +159,11 @@ class DistanceMatrix:
             raise ValueError(f"expected {self.n} labels, got shape {labels.shape}")
         iu, ju = _pair_index(self.n)
         return float(self._condensed[labels[iu] == labels[ju]].sum())
+
+    def __reduce__(self):
+        # a pickled or deep-copied instance is rebuilt through __init__, which
+        # checks it again and marks both arrays read-only
+        return DistanceMatrix, (self.n, self._condensed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistanceMatrix):

@@ -17,13 +17,13 @@ one depth, and one numpy pass makes and bounds every child (node, group) of a
 batch that :func:`_joinable` allows: an open group with room or the first
 unopened one, so long as the remaining elements can still lift every group
 to size ``a``. Children follow their parents' order, and a node's children
-go by decreasing gain, then by group, so the nodes of every depth are
-visited in the order a node-by-node depth-first search would visit them
-(batch order). The loop alone compares nodes with the incumbent: a batch
-taken off the stack first drops, uncounted, every node whose value plus
-bound no longer exceeds it. A batch larger than one pass is then split and
-its rest waits on the stack. A pass is sized in floats, with an equal share
-of ``_BATCH_FLOATS`` for each depth that may hold pending nodes, so the
+go by group, so each depth is visited in lexicographic order of the labels,
+as :func:`_leaves` makes them and a node-by-node depth-first search visits
+them. The loop alone compares nodes with the incumbent: a batch taken off
+the stack first drops, uncounted, every node whose value plus bound no
+longer exceeds it. A batch larger than one pass is then split and its rest
+waits on the stack. A pass is sized in floats, with an equal share of
+``_BATCH_FLOATS`` for each depth that may hold pending nodes, so the
 pending nodes stay within it however wide the frontier grows; the
 :func:`_joinable` mask that sizes a branching pass also makes its children.
 
@@ -70,10 +70,11 @@ compared with the older value, so the count can differ slightly.
 The search is deterministic: for a given instance and node budget it always
 visits the same nodes and returns the same value and grouping. It replaces
 the incumbent (the seed, to begin with) only by a strictly higher exact
-``same_label_sum``, so among tied optima it keeps the first one found; the
-fast tail sums only choose which labellings get that exact sum, and a batch
-of tails tries them node by node in batch order, then in lexicographic
-order, so rounding never picks a tie. Nor does the BLAS that computes the
+``same_label_sum``, so among optima tied exactly it returns the seed if that
+is optimal, else the first optimum in :func:`iter_feasible_partitions`
+order. The fast tail sums only choose which labellings get that exact sum,
+tried node by node, then completion by completion, in lexicographic order,
+so rounding never picks a tie. Nor does the BLAS that computes the
 product, whatever order or thread count it sums in: the distances are
 finite, so every gain is and a zero of the one-hot adds an exact zero, and
 each score is a one-hot product of ``R`` gains plus one add of a pair sum,
@@ -465,10 +466,10 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
         rank = np.argsort(order)
         top = top[rank]
         # the fast sums decide only which labellings get an exact
-        # same_label_sum, node by node in batch order and then in
-        # lexicographic order, so the first exact maximum wins and rounding
-        # picks nothing. The incumbent only rises within the batch, so a
-        # node below it now stays below it
+        # same_label_sum, node by node, then completion by completion: in
+        # iter_feasible_partitions order, so the first exact maximum wins
+        # and rounding picks nothing. The incumbent only rises within the
+        # batch, so a node below it now stays below it
         for f in np.flatnonzero(top >= best_value - batch.cur - slack):
             need = best_value - batch.cur[f]
             if top[f] < need - slack:
@@ -483,18 +484,15 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
 
     def expand(batch: _Nodes, ok: np.ndarray) -> _Nodes:
         # every child (node, group) the branching rule ``ok`` allows, made and
-        # bounded at once, in depth-first order: node by node, and within a
-        # node by decreasing gain, then by group
+        # bounded at once, node by node and within a node by group: the
+        # lexicographic order of their labels, as _leaves makes them
         t = batch.labels.shape[1]
-        inc = batch.A[:, :, 0]
-        order = np.argsort(np.where(ok, -inc, math.inf), axis=1, kind="stable")
-        f, j = np.nonzero(np.take_along_axis(ok, order, axis=1))
-        g = order[f, j]
+        f, g = np.nonzero(ok)
         A, child_sizes = batch.A[f, :, 1:], batch.sizes[f]
         joined = np.arange(len(f)), g
         A[joined] += square[t, t + 1 :]
         child_sizes[joined] += 1
-        cur = batch.cur[f] + inc[f, g]
+        cur = batch.cur[f] + batch.A[f, g, 0]
         ub = cur + _completion_bounds(A, child_sizes, tables[t])
         labels = np.hstack([batch.labels[f], g[:, None]])
         return _Nodes(cur, ub, child_sizes, A, labels)

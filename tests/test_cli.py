@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -631,6 +632,31 @@ def test_cmd_overflowing_distances_rejected(command, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cmd_distances_near_the_float_limit_refused(tmp_path, capsys):
+    # each entry and their absolute sum are finite, but a swap score adds up
+    # to four times that sum, which overflows
+    path = tmp_path / "huge.txt"
+    path.write_text("4 2 2 2\nDIST\n1.5e308 1 2\n3 4\n5\n")
+    for solver_name in ("bnb", "heuristic"):
+        assert main(["solve", "--input", str(path), "--solver", solver_name]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: distances too large: their absolute sum overflows\n"
+        assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_cmd_distances_just_under_the_limit_solve(tmp_path):
+    # an absolute sum of 4.3e307, just under max/4 (about 4.49e307), is
+    # accepted, and every solver runs without an overflow warning
+    path = tmp_path / "large.txt"
+    path.write_text("4 2 2 2\nDIST\n1e307 1.5e307 3e306\n4e306 5e306\n6e306\n")
+    reports = [_run_main("solve", "--input", str(path), "--solver", name, *flags, "--json")
+               for name, flags in (("bnb", ()), ("bruteforce", ()),
+                                   ("heuristic", ("--seed", "0")))]
+    assert {report["value"] for report in reports} == {2e307}
+    assert all(report["groups"] == [[1, 3], [2, 4]] for report in reports)
+
+
 @pytest.mark.parametrize("text, message", [
     # a non-finite entry is reported on its own row
     ("3 1 3 3\nDIST\n1 inf\n2\n", "error: line 3: all distances must be finite"),
@@ -958,6 +984,90 @@ def test_attr_text_solves_exports_and_verifies(tmp_path_factory, case):
         exported = _run_main("solve", *source, "--model", model, "--export-lp", str(lp_path),
                              "--json")
         _EXPORT.validate(exported)
+        lp = lp_path.read_text()
+        assert lp.startswith("\\ ") and lp.rstrip().endswith("End")
+
+
+# the largest absolute distance sum a DIST body may have: a swap score or a
+# bound adds up to four times it
+_SUM_LIMIT = sys.float_info.max / 4
+
+
+@st.composite
+def _dist_cases(draw):
+    """A DIST instance text with N <= 7 and whether its absolute sum is over
+    _SUM_LIMIT. Values come from decimal ties, -0.0, 1e-300 and -2..3; in
+    some bodies they are scaled so that their absolute sum lands just under
+    or just over the limit, or far over it."""
+    n = draw(st.integers(1, 7))
+    G = draw(st.integers(1, n))
+    a = draw(st.integers(1, n // G))
+    b = draw(st.integers(-(-n // G), n))
+    values = [float(v) for v in draw(st.lists(st.sampled_from(_NUM_TOKENS),
+                                              min_size=n * (n - 1) // 2,
+                                              max_size=n * (n - 1) // 2))]
+    share = None
+    if n > 1 and draw(st.booleans()):
+        share = draw(st.sampled_from((0.99, 1.01, 0.5, 3.0)))
+        if not any(values):
+            values[0] = 1.0
+        total = math.fsum(map(abs, values))
+        values = [v / total * (share * _SUM_LIMIT) for v in values]
+    rows, k = [], 0
+    for i in range(1, n):
+        rows.append(" ".join(map(repr, values[k:k + n - i])))
+        k += n - i
+    over = share is not None and share > 1
+    return "\n".join([f"{n} {G} {a} {b}", "DIST", *rows]) + "\n", over
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_dist_cases())
+def test_dist_edge_values_solve_export_and_verify(tmp_path_factory, case):
+    # a DIST body of tied, signed, tiny or near-overflow values through every
+    # command: one over the sum limit is refused with exit 2, any other
+    # solves without a numpy warning (raised as an error here), the exact solvers agree within rounding, the
+    # heuristic stays below them, bnb's groups verify at its value, each LP
+    # is whole, and every report follows its schema
+    text, over = case
+    folder = tmp_path_factory.mktemp("dist-edge")
+    inst_path, sol_path, lp_path = folder / "inst.txt", folder / "sol.txt", folder / "m.lp"
+    inst_path.write_text(text)
+    source = ("--input", str(inst_path))
+    runs = {name: _call_main("solve", *source, "--solver", name, *flags, "--json")
+            for name, flags in (("bnb", ()), ("bruteforce", ()),
+                                ("heuristic", ("--restarts", "3", "--seed", "0")))}
+    for code, out, err in runs.values():
+        assert code in (0, 2, 3)
+        assert "Warning" not in err
+    if over:
+        for code, out, err in runs.values():
+            assert code == 2 and out == ""
+            assert err.startswith("error: line 2: ") and "too large" in err
+        return
+    bnb, exact, heuristic = (json.loads(out) for code, out, err in runs.values())
+    for (code, out, err), report in zip(runs.values(), (bnb, exact, heuristic)):
+        assert code == 0, err
+        _SOLVE.validate(report)
+    inst = parse_instance(text).instance
+    slack = solver._rounding_slack(inst)
+    assert abs(bnb["value"] - exact["value"]) <= slack
+    assert heuristic["value"] <= exact["value"] + slack
+
+    sol_path.write_text(_solution_text(bnb["groups"]))
+    checked = _run_main("verify", *source, "--solution", str(sol_path), "--json")
+    _VERIFY.validate(checked)
+    assert checked["feasible"] is True
+    assert checked["value"] == bnb["value"]
+
+    for model in cli.CLI_MODELS:
+        if model == "equal" and inst.n % inst.G:
+            continue
+        code, out, err = _call_main("solve", *source, "--model", model, "--export-lp",
+                                    str(lp_path), "--json")
+        assert code == 0 and "Warning" not in err, err
+        _EXPORT.validate(json.loads(out))
         lp = lp_path.read_text()
         assert lp.startswith("\\ ") and lp.rstrip().endswith("End")
 

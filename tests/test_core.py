@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -360,6 +362,14 @@ def test_distance_matrix_rejects_overflowing_sum():
     assert DistanceMatrix(3, [1e307, -1e307, 1e307]).n == 3
 
 
+def test_distance_matrix_bounds_four_times_the_absolute_sum():
+    # a swap score or a bound adds up to 4·sum|d|, which must stay finite
+    limit = np.finfo(float).max / 4
+    assert DistanceMatrix(3, [0.5 * limit, -0.25 * limit, 0.2 * limit]).n == 3
+    with pytest.raises(ValueError, match="absolute sum overflows"):
+        DistanceMatrix(3, [0.5 * limit, -0.25 * limit, 0.3 * limit])
+
+
 def test_distance_matrix_copies_its_input():
     base = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     d = DistanceMatrix(4, base.view())
@@ -431,3 +441,23 @@ def test_as_square_is_stored_once_and_read_only(n):
         # the square adds +0.0 to the stored -0.0: both read it as 0.0
         i, j = (int(idx[zero]) + 1 for idx in _pair_index(n))
         assert math.copysign(1.0, d.lookup(i, j)) == math.copysign(1.0, d.lookup(j, i)) == 1.0
+
+
+@pytest.mark.parametrize("how", [*range(pickle.HIGHEST_PROTOCOL + 1), "deepcopy"])
+def test_copies_keep_the_distances_read_only(how):
+    # pickling and deepcopy rebuild the matrix through its constructor, so
+    # the copy's condensed vector and square are read-only, as the original's
+    def dup(obj):
+        return copy.deepcopy(obj) if how == "deepcopy" else pickle.loads(pickle.dumps(obj, how))
+
+    d = DistanceMatrix(6, np.random.default_rng(6).uniform(-10.0, 10.0, 15))
+    inst = Instance(d, 2, 2, 4)
+    inst_copy = dup(inst)
+    assert inst_copy == inst
+    for copied in (dup(d), inst_copy.dist):
+        assert copied == d
+        assert copied.as_square().tobytes() == d.as_square().tobytes()
+        for array in (copied.condensed(), copied.as_square()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0

@@ -30,6 +30,7 @@ from mdgp import (
 )
 from mdgp import solver
 from mdgp.cli import gen_instance, parse_instance
+from mdgp.core import _pair_index
 from mdgp.heuristic import HeuristicResult, multistart
 from conftest import TOL, random_instance, seeded_cases
 
@@ -411,6 +412,33 @@ def test_bnb_does_not_depend_on_the_batch_size(monkeypatch):
                 got = solve_bnb(inst)
                 assert (got.value.hex(), got.grouping, got.proven) == (
                     want.value.hex(), want.grouping, want.proven), (seed, floats)
+
+
+def test_bnb_returns_the_first_optimum_in_enumeration_order(monkeypatch):
+    # the search visits every depth in lexicographic order of its labels and
+    # replaces the incumbent only by a strictly higher exact sum, so from a
+    # seed that is not optimal it returns the first optimum that
+    # iter_feasible_partitions yields, value and groups. 0/1 distances tie
+    # many labellings exactly, and at s = 2 a search that visits children
+    # in another order can meet a later tie first. Fewer seeds run at the
+    # small pass size, which splits batches in more places and is slower
+    monkeypatch.setattr(solver, "multistart", _first_feasible)
+    n, G, a, b = 12, 4, 2, 4
+    labels = np.concatenate(list(solver._leaves(n, a, b, (0,) * G)))
+    iu, ju = _pair_index(n)
+    same = labels[:, iu] == labels[:, ju]
+    for floats, seeds in ((solver._BATCH_FLOATS, range(20)), (4096, (0, 1, 2, 3, 4, 5))):
+        monkeypatch.setattr(solver, "_BATCH_FLOATS", floats)
+        for s in seeds:
+            d = np.random.default_rng(s).integers(0, 2, 66).astype(float)
+            # summed in parts: the whole (labellings, pairs) float array is 109 MB
+            sums = np.concatenate([np.where(part, d, 0.0).sum(axis=1)
+                                   for part in np.array_split(same, 16)])
+            first = int(np.argmax(sums))
+            result = solve_bnb(Instance(DistanceMatrix(n, d), G, a, b))
+            assert result.proven
+            assert (result.value, result.grouping.groups) == (
+                sums[first], Grouping.from_labels(labels[first].tolist()).groups), (floats, s)
 
 
 def test_time_budget_covers_the_seed(monkeypatch):
@@ -812,7 +840,9 @@ def test_tail_rounding_decides_nothing(monkeypatch):
 
 
 # (N, G, a, b, kind, seed) -> (nodes_explored, value.hex()): node counts do
-# not depend on the machine, so they pin the search itself
+# not depend on the machine, so they pin the search itself. Kind "rng" is a
+# DIST instance: default_rng(seed).uniform(0, 100, (N, N)), its upper
+# triangle kept and mirrored
 NODE_GATE = {
     (12, 3, 4, 4, "uniformkd:2", 1): (177, "0x1.3cf8cce1c5826p+10"),
     (12, 4, 2, 4, "mixed:2,2", 2): (919, "0x1.30f629506f257p+3"),
@@ -820,14 +850,21 @@ NODE_GATE = {
     (14, 2, 7, 7, "uniformkd:3", 4): (16, "0x1.1dff852d666aap+12"),
     (11, 4, 2, 3, "uniform1d", 5): (203, "0x1.794f4aba38759p+8"),
     (14, 3, 4, 5, "mixed:2,2", 7): (1556, "0x1.14ad618d2fadbp+4"),
+    (15, 4, 3, 5, "rng", 1): (40779, "0x1.aad137bc975b2p+10"),
+    (16, 4, 4, 4, "rng", 1): (5485, "0x1.b365eb471b6e8p+10"),
+    (15, 4, 3, 5, "rng", 2): (37042, "0x1.a11c62526d42bp+10"),
 }
 
 
 def test_bnb_node_counts_are_pinned():
     got = {}
     for n, G, a, b, kind, seed in NODE_GATE:
-        metric = "gower" if kind.startswith("mixed") else "manhattan"
-        inst = parse_instance(gen_instance(n, G, a, b, kind, seed), metric).instance
+        if kind == "rng":
+            m = np.triu(np.random.default_rng(seed).uniform(0, 100, (n, n)), 1)
+            inst = Instance(DistanceMatrix.from_square(m + m.T), G, a, b)
+        else:
+            metric = "gower" if kind.startswith("mixed") else "manhattan"
+            inst = parse_instance(gen_instance(n, G, a, b, kind, seed), metric).instance
         result = solve_bnb(inst)
         assert result.proven
         got[n, G, a, b, kind, seed] = (result.nodes_explored, result.value.hex())
