@@ -111,7 +111,10 @@ class DistanceMatrix:
         # 4·sum|d| in size, so that must stay finite
         with np.errstate(over="ignore"):
             if not np.isfinite(4.0 * np.abs(condensed).sum()):
-                raise ValueError("distances too large: their absolute sum overflows")
+                raise ValueError(
+                    "distances too large: four times their absolute sum overflows "
+                    f"(it must stay below about {np.finfo(float).max / 4:.3g})"
+                )
         condensed.flags.writeable = False
         m = np.zeros((n, n))
         m[_pair_index(n)] = condensed

@@ -27,12 +27,13 @@ or -1, so the LP text writes a row term as its sign and column name. The
 terms of a row keep construction order, not column order, because the LP
 text prints them in that order: ``tri1_i_j_k`` is ``x_ij + x_jk - x_ik``.
 
-Building and exporting are array passes, not a loop over rows. The
-triangle rows come from one index array per triple position, and their
-names from one ``_a_b_c`` suffix per triple. :func:`export_lp` is one pass
-over tokens and one join: a head token per row, term tokens built once per
-column and placed by sign and position, and a tail token per row looked up
-from the few distinct (sense, right-hand side) pairs.
+Building, exporting and checking are array passes, not a loop over rows.
+The triangle rows come from one index array per triple position, and their
+names from one object-array broadcast; every block of rows is written once
+into the CSR arrays. :func:`export_lp` makes no string per row: a line is
+the row's name, term tokens built once per column and a tail rendered once
+per run of rows with equal bounds, placed by index and joined once.
+:func:`check_assignment` takes every row sum from one integer prefix sum.
 
 The same module reads the format back. :func:`decode_partition` labels each
 element with the smallest member of {i} together with its x = 1 partners,
@@ -44,6 +45,7 @@ lexicographically first triple whose transitivity row is broken.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
@@ -108,11 +110,12 @@ def _pairs(n: int):
 
 
 class _Rows:
-    """Row accumulator shared by the builders.
+    """Row blocks shared by the builders.
 
-    ``add`` appends a block of rows that share a term count, coefficients
-    (1 unless given) and bounds. ``col[i, j]`` (0-based, i != j) is the
-    column of the pair {i, j}.
+    ``add`` records a block of rows that share coefficients (1 unless given,
+    broadcast against ``cols``) and bounds. ``cols`` holds each row's
+    columns on a line of its own, or, with ``lens``, back to back.
+    ``col[i, j]`` (0-based, i != j) is the column of the pair {i, j}.
     """
 
     def __init__(self, n: int):
@@ -122,30 +125,36 @@ class _Rows:
         iu, ju = _pair_index(n)
         self.col[iu, ju] = self.col[ju, iu] = np.arange(self.npairs)
         self.names: list[str] = []
-        self.parts: list[tuple[np.ndarray, ...]] = []
+        self.blocks: list[tuple] = []
 
-    def add(self, names, cols, coefs=1, lo=-np.inf, hi=np.inf) -> None:
+    def add(self, names, cols, coefs=1, lo=-np.inf, hi=np.inf, lens=None) -> None:
         if not names:
             return
-        rows = len(names)
-        cols = np.asarray(cols, dtype=np.intp).reshape(rows, -1)
+        cols = np.asarray(cols, dtype=np.intp)
+        if lens is None:
+            cols = cols.reshape(len(names), -1)
+            lens = cols.shape[1]
         self.names += names
-        self.parts.append((
-            np.full(rows, cols.shape[1]),
-            cols.ravel(),
-            np.broadcast_to(np.asarray(coefs, dtype=np.int64), cols.shape).ravel(),
-            np.full(rows, float(lo)),
-            np.full(rows, float(hi)),
-        ))
+        self.blocks.append((len(names), lens, cols, coefs, lo, hi))
 
     def degree(self) -> np.ndarray:
         """Row i: the columns of the pairs containing element i, partners ascending."""
         return self.col[~np.eye(self.n, dtype=bool)].reshape(self.n, self.n - 1)
 
     def model(self, instance: Instance, variant: str) -> IlpModel:
-        lens, indices, coefs, lo, hi = (np.concatenate(a) for a in zip(*self.parts))
-        indptr = np.zeros(len(lens) + 1, dtype=np.intp)
-        np.cumsum(lens, out=indptr[1:])
+        # each block is written once, into arrays sized for all of them
+        nrows, nterms = len(self.names), sum(cols.size for _, _, cols, *_ in self.blocks)
+        indptr = np.zeros(nrows + 1, dtype=np.intp)
+        indices, coefs = np.empty(nterms, dtype=np.intp), np.empty(nterms, dtype=np.int64)
+        lo, hi = np.empty(nrows), np.empty(nrows)
+        r = t = 0
+        for rows, lens, cols, coefs_b, lo_b, hi_b in self.blocks:
+            indptr[r + 1:r + rows + 1] = lens
+            lo[r:r + rows], hi[r:r + rows] = lo_b, hi_b
+            indices[t:t + cols.size].reshape(cols.shape)[...] = cols
+            coefs[t:t + cols.size].reshape(cols.shape)[...] = coefs_b
+            r, t = r + rows, t + cols.size
+        np.cumsum(indptr, out=indptr)
         for arr in (indptr, indices, coefs, lo, hi):
             arr.flags.writeable = False
         variables = [f"x_{i}_{j}" for i, j in _pairs(self.n)]
@@ -173,13 +182,14 @@ def _rows_with_triangles(n: int) -> _Rows:
     xij, xik, xjk = rows.col[i, j], rows.col[i, k], rows.col[j, k]
     # per triple: tri1 = x_ij + x_jk - x_ik, tri2 = x_ij + x_ik - x_jk, tri3 = x_ik + x_jk - x_ij
     cols = np.stack([xij, xjk, xik, xij, xik, xjk, xik, xjk, xij], axis=1)
-    # the 1-based "_a_b_c" of each triple, from one "_a_b" per pair
-    part = [f"_{e}" for e in range(n + 1)]
-    suffixes = []
-    for a, b in _pairs(n):
-        ab = part[a] + part[b]
-        suffixes += [ab + part[c] for c in range(b + 1, n + 1)]
-    rows.add([r + s for s in suffixes for r in ("tri1", "tri2", "tri3")], cols, (1, 1, -1), hi=1)
+    # the 1-based names by object-array broadcast: "tri1".."tri3", then the
+    # "_a_b" of the triple's first pair, then "_c"
+    iu, ju = (e.tolist() for e in _pair_index(n))
+    pair_part = np.array([f"_{a + 1}_{b + 1}" for a, b in zip(iu, ju)], dtype=object)
+    last_part = np.array([f"_{c + 1}" for c in range(n)], dtype=object)
+    suffixes = pair_part[xij] + last_part[k]
+    names = np.array(["tri1", "tri2", "tri3"], dtype=object) + suffixes[:, None]
+    rows.add(names.ravel().tolist(), cols, (1, 1, -1), hi=1)
     return rows
 
 
@@ -231,8 +241,11 @@ def build_unequal(instance: Instance) -> IlpModel:
         [f"lex_{i}_{j}" for i, j in _pairs(n)],
         np.stack([np.arange(P), P + ju - 1], axis=1), hi=1,
     )
-    for j in range(2, n + 1):
-        rows.add([f"lforce_{j}"], np.append(rows.col[: j - 1, j - 1], P + j - 2), lo=1)
+    # row j - 2 is lforce_j: the columns of x_1j .. x_(j-1)j, then y_j's
+    lforce = rows.col[1:].copy()
+    lforce[np.arange(n - 1), np.arange(1, n)] = P + np.arange(n - 1)
+    rows.add([f"lforce_{j}" for j in range(2, n + 1)], lforce[np.tri(n - 1, n, 1, dtype=bool)],
+             lo=1, lens=np.arange(2, n + 1))
     rows.add(["lcount"], P + np.arange(n - 1), lo=G - 1, hi=G - 1)
     return rows.model(instance, "unequal")
 
@@ -266,7 +279,12 @@ def encode_grouping(grouping: Grouping, variant: str = "unequal") -> PairAssignm
 
 def check_assignment(model: IlpModel, asg: PairAssignment) -> CheckReport:
     """Evaluate every row in one vectorised pass; violations are row names in
-    row order, not errors."""
+    row order, not errors.
+
+    Row sums come from one prefix sum over the terms, differenced at
+    ``indptr``: in integers for integer coefficients, so exact, and 0 for a
+    row with no terms.
+    """
     pairs = list(_pairs(model.n))
     if asg.x.keys() != set(pairs):
         raise ValueError("assignment pair variables do not match the model")
@@ -275,10 +293,10 @@ def check_assignment(model: IlpModel, asg: PairAssignment) -> CheckReport:
         raise ValueError("assignment leader variables do not match the model")
 
     values = np.array([asg.x[p] for p in pairs] + [asg.y[j] for j in leaders], dtype=np.int64)
-    row_of = np.repeat(np.arange(len(model.constraints)), np.diff(model.indptr))
-    lhs = np.bincount(
-        row_of, weights=model.coefs * values[model.indices], minlength=len(model.constraints)
-    )
+    terms = model.coefs * values[model.indices]
+    sums = np.zeros(len(terms) + 1, dtype=terms.dtype)
+    np.cumsum(terms, out=sums[1:])
+    lhs = np.diff(sums[model.indptr])
     violated = np.flatnonzero((lhs < model.lo) | (lhs > model.hi))
     return CheckReport(
         objective=float(model.objective[values[: len(pairs)] == 1].sum()),
@@ -418,58 +436,95 @@ def export_lp(model: IlpModel) -> str:
 
     Variable names are ``x_<i>_<j>`` and ``y_<j>`` (1-based); pairs appear in
     lexicographic order and constraints in construction order, so exports are
-    deterministic and diffable. Each constraint stays on one line.
+    deterministic and diffable. Each constraint stays on one line. A model
+    the text cannot hold raises ValueError naming its first such row: a
+    coefficient other than +1 or -1, a finite bound that is not an integer,
+    a ranged row (both bounds finite and unequal) or a free row.
 
-    The text is one pass over tokens and one join. Line 0 is the objective
-    and line r + 1 is row r; a line is a head token, one token per term and
-    a tail token. A term token is its column's ``" x"`` when it leads a
-    positive line, else ``" + x"`` or ``" - x"``; each is built once per
-    column, and the objective's columns carry their coefficient. A line with
-    no terms gets one more space, as ``" ".join`` of no terms would give.
+    The text is one join over existing strings, placed by index. Line 0 is
+    the objective and line r + 1 is row r: its name, its terms and a tail.
+    The first term token opens with the ``:`` (``": x"``, ``": - x"``), the
+    others are ``" + x"`` or ``" - x"``, built once per column; the
+    objective's carry their coefficient. A tail (``" <= 1\\n "``) ends with the
+    next line's leading space, which the last line's drops; a line with no
+    terms has ``": "`` on its tail. Tails are rendered once per run of rows
+    with equal bounds and emptiness.
     """
     # a helper, so that its working arrays are freed before the list and the text are made
     return "".join(_lp_tokens(model).tolist())
 
 
+def _tail(name: str, lo: float, hi: float) -> str:
+    """Row ``name``'s `` <sense> <rhs>``; ValueError if the LP text cannot hold its bounds."""
+    sense, rhs = ("=", lo) if lo == hi else ("<=", hi) if lo == -math.inf else (">=", lo)
+    if lo == -math.inf and hi == math.inf:
+        reason = "it is free: both bounds are infinite"
+    elif not float(rhs).is_integer():
+        reason = f"bound {rhs!r} is not an integer"
+    elif sense == ">=" and hi != math.inf:
+        reason = f"it is ranged: {lo!r} <= row <= {hi!r}"
+    else:
+        return f" {sense} {int(rhs)}"
+    raise ValueError(f"cannot write row {name} as LP text: {reason}")
+
+
 def _lp_tokens(model: IlpModel) -> np.ndarray:
     """The tokens of :func:`export_lp` in text order, as an object array."""
-    names = model.variables
+    names, rows = model.variables, model.constraints
+    indptr, lo, hi = model.indptr, model.lo, model.hi
+    bad_terms = np.flatnonzero((model.coefs != 1) & (model.coefs != -1))
+    bad_row = len(rows)
+    if len(bad_terms):
+        bad_row = int(np.searchsorted(indptr, bad_terms[0], side="right")) - 1
+
+    # one tail per run of rows with equal bounds and emptiness; the rows of a
+    # run share its first row's bounds, so checking run starts checks them all
+    empty = indptr[1:] == indptr[:-1]
+    run = np.ones(len(rows), dtype=np.intp)
+    run[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]) | (empty[1:] != empty[:-1])
+    tails = [f"{': ' if empty[r] else ''}{_tail(rows[r], lo[r].item(), hi[r].item())}\n "
+             for r in np.flatnonzero(run).tolist() if r <= bad_row]
+    if bad_row < len(rows):
+        raise ValueError(f"cannot write row {rows[bad_row]} as LP text: coefficient "
+                         f"{model.coefs[bad_terms[0]].item()!r} is not +1 or -1")
+
+    # a term's token is picked by sign and by whether it leads its line from
+    # " + x", ": x", " - x" and ": - x" of its column's body; the objective's
+    # bodies carry their coefficient (repr is the shortest exact decimal)
     obj = model.objective.tolist()
-    # the objective's terms are columns len(names).. of the bodies: a
-    # coefficient (repr is the shortest exact decimal) and a name
     bodies = np.array([*names, *(f"{abs(c)!r} {name}" for c, name in zip(obj, names))],
                       dtype=object)
-    indptr = np.concatenate([[0], len(obj) + model.indptr])
-    cols = np.concatenate([len(names) + np.arange(len(obj)), model.indices])
-    neg = np.concatenate([model.objective < 0, model.coefs < 0])
+    nb = len(bodies)
+    obj_terms = len(names) + np.arange(len(obj)) + 2 * nb * (model.objective < 0)
+    obj_terms[:1] += nb
+    terms = (model.coefs < 0) * (2 * nb)
+    terms += model.indices
+    terms[indptr[:-1][~empty]] += nb
 
-    # rows share few tails: each is rendered once, keyed rhs*3 + sense
-    lo, hi = model.lo, model.hi
-    sense = np.where(lo == hi, 0, np.where(lo == -np.inf, 1, 2))
-    keys, tail_of = np.unique(np.where(sense == 1, hi, lo).astype(np.int64) * 3 + sense,
-                              return_inverse=True)
-    # the objective's line ends with the next section's header, the last tail
-    tails = np.array(
-        [*(f" {('=', '<=', '>=')[s]} {rhs}\n" for rhs, s in (divmod(k, 3) for k in keys.tolist())),
-         "\nSubject To\n"],
-        dtype=object,
-    )
+    # the pool: the term tokens, four fixed tokens, the run tails and the row
+    # names; the last row's tail drops the space no line follows
+    fixed = [f"\\ {model.variant} variant, n={model.n}\nMaximize\n obj",
+             f"{'' if obj else ': '}\nSubject To\n{' ' if rows else ''}",
+             f"Binaries\n {' '.join(names)}\nEnd\n",
+             tails[-1][:-1] if tails else ""]
+    pool = np.concatenate([" + " + bodies, ": " + bodies, " - " + bodies, ": - " + bodies,
+                           np.array(fixed + tails, dtype=object),
+                           np.fromiter(rows, dtype=object, count=len(rows))])
+    obj_head, obj_tail, closing, last_tail = range(4 * nb, 4 * nb + 4)
 
-    lines = np.arange(len(indptr) - 1)
-    head_at = indptr[:-1] + 2 * lines
-    tail_at = indptr[1:] + 2 * lines + 1
-    tokens = np.empty(tail_at[-1] + 2, dtype=object)
-    tokens[tail_at] = tails[np.append(len(keys), tail_of)]
-    tokens[-1] = f"Binaries\n {' '.join(names)}\nEnd\n"
-    is_term = np.ones(len(tokens), dtype=bool)
-    is_term[head_at] = is_term[tail_at] = is_term[-1] = False
-    # a term leads its line when a line starts at it; an empty line starts
-    # where the next one does, and the extra slot takes a start at the end
-    lead = np.zeros(len(cols) + 1, dtype=bool)
-    lead[indptr] = True
-    signed = np.concatenate([" + " + bodies, " - " + bodies, " " + bodies])
-    tokens[is_term] = signed[np.where(neg, 1, 2 * lead[:-1]) * len(bodies) + cols]
-    tokens[head_at] = [f"\\ {model.variant} variant, n={model.n}\nMaximize\n obj:",
-                       *(f" {row}:" for row in model.constraints)]
-    tokens[head_at[indptr[:-1] == indptr[1:]]] += " "
-    return tokens
+    # the objective's line, each row's name, terms and tail, the closing section
+    start = len(obj) + 2
+    at = np.empty(start + len(terms) + 2 * len(rows) + 1, dtype=np.intp)
+    at[0], at[1:start - 1], at[start - 1], at[-1] = obj_head, obj_terms, obj_tail, closing
+    head_at = indptr[:-1] + np.arange(start, start + 2 * len(rows), 2)
+    tail_at = indptr[1:] + np.arange(start + 1, start + 2 * len(rows) + 1, 2)
+    is_term = np.ones(len(at), dtype=bool)
+    is_term[:start] = is_term[head_at] = is_term[tail_at] = is_term[-1] = False
+    at[is_term] = terms
+    # working arrays go before the gather, the export's largest allocation
+    del terms, is_term
+    at[head_at] = np.arange(len(pool) - len(rows), len(pool))
+    at[tail_at] = np.cumsum(run) + last_tail
+    at[tail_at[-1:]] = last_tail
+    del head_at, tail_at, run
+    return pool[at]

@@ -640,7 +640,8 @@ def test_cmd_distances_near_the_float_limit_refused(tmp_path, capsys):
     for solver_name in ("bnb", "heuristic"):
         assert main(["solve", "--input", str(path), "--solver", solver_name]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: line 2: distances too large: their absolute sum overflows\n"
+        assert captured.err == ("error: line 2: distances too large: four times their absolute "
+                                "sum overflows (it must stay below about 4.49e+307)\n")
         assert captured.out == ""
 
 
@@ -663,7 +664,8 @@ def test_cmd_distances_just_under_the_limit_solve(tmp_path):
     ("# nan below\n3 1 3 3\nDIST\n1 2\nnan\n", "error: line 5: all distances must be finite"),
     # an overflowing sum belongs to no single row: reported at the DIST line
     ("4 2 2 2\n\nDIST\n1e308 1e308 1e308\n1e308 1e308\n1e308\n",
-     "error: line 3: distances too large: their absolute sum overflows"),
+     "error: line 3: distances too large: four times their absolute sum overflows "
+     "(it must stay below about 4.49e+307)"),
     # so is a non-finite ATTR value, not at the header
     ("3 1 3 3\nATTR 1\nnum\nnan\n1\n2\n", "error: line 4: non-finite numeric value"),
     ("3 1 3 3\nATTR 2\nnum cat\n1 x\n2 y\n-inf z\n", "error: line 6: non-finite numeric value"),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 from itertools import combinations
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdgp import (
+    DistanceMatrix,
     Grouping,
+    Instance,
     PairAssignment,
     build_degree_only,
     build_equal,
@@ -18,6 +21,7 @@ from mdgp import (
     check_assignment,
     encode_grouping,
     export_lp,
+    greedy_construct,
     iter_set_partitions,
     objective_value,
     validate_grouping,
@@ -404,3 +408,150 @@ LP_SHA256 = {
 def test_export_bytes_pinned(which, variant):
     text = export_lp(build_model(PINNED_INSTANCES[which](), variant))
     assert hashlib.sha256(text.encode()).hexdigest() == LP_SHA256[which, variant]
+
+
+# ---------------------------------------------------------------------------
+# LP export against a plain per-row writer, and the rows it refuses
+# ---------------------------------------------------------------------------
+
+def reference_lp(model) -> str:
+    """The LP text written line by line from the model's fields."""
+
+    def terms(pairs):
+        # [(coefficient, body)] -> "a - b + c"; a negative first term reads "- a"
+        out = []
+        for k, (c, body) in enumerate(pairs):
+            if k == 0:
+                out.append(f"- {body}" if c < 0 else body)
+            else:
+                out.append(f"{'-' if c < 0 else '+'} {body}")
+        return " ".join(out)
+
+    lines = [f"\\ {model.variant} variant, n={model.n}", "Maximize"]
+    obj = [(c, f"{abs(c)!r} {name}") for c, name in zip(model.objective.tolist(), model.variables)]
+    lines.append(f" obj: {terms(obj)}")
+    lines.append("Subject To")
+    for r, name in enumerate(model.constraints):
+        lo, hi = model.lo[r], model.hi[r]
+        sense, rhs = ("=", lo) if lo == hi else ("<=", hi) if lo == -np.inf else (">=", lo)
+        span = range(model.indptr[r], model.indptr[r + 1])
+        row = [(int(model.coefs[k]), model.variables[model.indices[k]]) for k in span]
+        lines.append(f" {name}: {terms(row)} {sense} {int(rhs)}")
+    lines += ["Binaries", " " + " ".join(model.variables), "End"]
+    return "\n".join(lines) + "\n"
+
+
+# distances whose shortest decimal is long, a tie or signed zero
+DECIMAL_TIES = [0.1, 0.2, 0.30000000000000004, 2.675, 0.125, 1e-05, 1e16, 2.5, -0.0, 1.15]
+
+
+def _writer_grid():
+    """N = 1..9 with nonnegative, signed, all-zero and decimal-tie distances."""
+    for n in range(1, 10):
+        m = n * (n - 1) // 2
+        rng = np.random.default_rng(n)
+        yield n, rng.uniform(0, 100, m)
+        yield n, rng.uniform(-100, 100, m)
+        yield n, np.zeros(m)
+        yield n, np.resize(DECIMAL_TIES, m)
+
+
+def _grid_shape(n, variant):
+    """(G, a, b) for N elements: equal-size groups for `equal`, else G <= 3 and sizes 1..N."""
+    if variant == "equal":
+        G = next(g for g in (3, 2, 1) if n % g == 0)
+        return G, n // G, n // G
+    return min(3, n), 1, n
+
+
+@pytest.mark.parametrize("variant", ["equal", "unequal", "degree_only"])
+def test_export_matches_a_per_row_writer(variant):
+    for n, cond in _writer_grid():
+        model = build_model(Instance(DistanceMatrix(n, cond), *_grid_shape(n, variant)), variant)
+        assert export_lp(model) == reference_lp(model), (n, cond.tolist())
+
+
+# the shapes of the benchmark's ilp-roundtrip workload, generated with seed 1
+BENCH_SHAPES = [(30, 5, 6, 6, "uniformkd:2"), (40, 6, 5, 8, "uniformkd:3"),
+                (40, 4, 8, 12, "uniformkd:2"), (48, 6, 8, 8, "mixed:2,2")]
+
+
+@pytest.mark.parametrize("n,G,a,b,kind", BENCH_SHAPES)
+def test_export_matches_a_per_row_writer_at_bench_sizes(n, G, a, b, kind):
+    metric = "gower" if kind.startswith("mixed") else "manhattan"
+    inst = parse_instance(gen_instance(n, G, a, b, kind, seed=1), metric).instance
+    variants = (["equal"] if n % G == 0 else []) + ["unequal", "degree_only"]
+    for variant in variants:
+        model = build_model(inst, variant)
+        assert export_lp(model) == reference_lp(model), variant
+
+
+def _replaced(model, field, r, value):
+    arr = getattr(model, field).copy()
+    arr[r] = value
+    return dataclasses.replace(model, **{field: arr})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ([("coefs", 4, 2)], "row tri2_1_2_3 as LP text: coefficient 2 is not +1 or -1"),
+    ([("hi", 0, 0.5)], "row tri1_1_2_3 as LP text: bound 0.5 is not an integer"),
+    ([("lo", 7, 0.0)], "row tri2_1_2_5 as LP text: it is ranged: 0.0 <= row <= 1.0"),
+    ([("lo", 62, -np.inf), ("hi", 62, np.inf)], "row deq_3 as LP text: it is free"),
+])
+def test_export_refuses_rows_the_text_cannot_hold(worked_instance, changes, message):
+    model = build_equal(worked_instance)
+    for field, r, value in changes:
+        model = _replaced(model, field, r, value)
+    with pytest.raises(ValueError, match=re.escape(f"cannot write {message}")):
+        export_lp(model)
+
+
+# ---------------------------------------------------------------------------
+# check_assignment against a per-row loop
+# ---------------------------------------------------------------------------
+
+def loop_check(model, values):
+    """Violated row names, in row order, and the objective, one row at a time."""
+    violated = []
+    for r, name in enumerate(model.constraints):
+        lhs = sum(int(model.coefs[k]) * values[model.indices[k]]
+                  for k in range(model.indptr[r], model.indptr[r + 1]))
+        if not model.lo[r] <= lhs <= model.hi[r]:
+            violated.append(name)
+    objective = sum(c for c, v in zip(model.objective.tolist(), values) if v == 1)
+    return tuple(violated), objective
+
+
+def _check_both(model, asg):
+    values = [asg.x[p] for p in combinations(range(1, model.n + 1), 2)]
+    values += [asg.y[j] for j in range(2, model.n + 1)] if asg.y is not None else []
+    report = check_assignment(model, asg)
+    violated, objective = loop_check(model, values)
+    assert report.violations == violated
+    assert report.objective == pytest.approx(objective, rel=1e-12, abs=TOL)
+
+
+@pytest.mark.parametrize("variant", ["equal", "unequal", "degree_only"])
+def test_check_row_sums_match_a_per_row_loop(variant):
+    for n in range(1, 10):
+        model = build_model(random_instance(n, n, *_grid_shape(n, variant), low=-100.0), variant)
+        pairs = list(combinations(range(1, n + 1), 2))
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(8):
+            x = dict(zip(pairs, rng.integers(0, 2, len(pairs)).tolist()))
+            y = dict(zip(range(2, n + 1), rng.integers(0, 2, n - 1).tolist()))
+            _check_both(model, PairAssignment(x=x, y=y if variant == "unequal" else None))
+
+
+def test_check_row_sums_match_a_per_row_loop_on_a_flipped_pair():
+    # the benchmark's case: a greedy grouping's encoding with its
+    # lexicographically first grouped pair set to 0
+    inst = parse_instance(gen_instance(30, 5, 6, 6, "uniformkd:2", seed=1), "manhattan").instance
+    model = build_unequal(inst)
+    grouping = greedy_construct(inst, 1)
+    asg = encode_grouping(grouping, "unequal")
+    i, j = min((g[0], g[1]) for g in grouping.groups if len(g) > 1)
+    _check_both(model, asg)
+    flipped = PairAssignment(x={**asg.x, (i, j): 0}, y=asg.y)
+    _check_both(model, flipped)
+    assert check_assignment(model, flipped).violations
