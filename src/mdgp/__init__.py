@@ -7,8 +7,10 @@ optimality, decodes pair-variable solutions back into partitions, and
 benchmarks a simple heuristic against the exact optimum.
 """
 
+from .bounds import column_bound
 from .core import (
     AttributeTable,
+    Column,
     DistanceMatrix,
     FeasibilityReport,
     Grouping,
@@ -50,6 +52,7 @@ from .solver import (
     partial_value,
     solve_bnb,
     solve_bruteforce,
+    solve_columns,
     upper_bound,
 )
 
@@ -58,6 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttributeTable",
     "CheckReport",
+    "Column",
     "DecodeReport",
     "DEFAULT_ENUMERATION_CAP",
     "DistanceMatrix",
@@ -81,6 +85,7 @@ __all__ = [
     "build_unequal",
     "canonicalize",
     "check_assignment",
+    "column_bound",
     "count_feasible_partitions",
     "decode_partition",
     "distance_matrix",
@@ -95,6 +100,7 @@ __all__ = [
     "partial_value",
     "solve_bnb",
     "solve_bruteforce",
+    "solve_columns",
     "upper_bound",
     "validate_grouping",
     "verify_group_count",

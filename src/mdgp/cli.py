@@ -33,7 +33,7 @@ from .core import (
     Instance,
     METRICS,
     SchemaError,
-    distance_matrix,
+    _distances_and_columns,
     objective_value,
     validate_grouping,
 )
@@ -143,7 +143,7 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
     mode_lineno, mode_line = lines[1]
     mode = mode_line.split()
     body = lines[2:]
-    table = None
+    table = columns = None
     warnings: list[str] = []
 
     if mode[0] == "DIST":
@@ -208,8 +208,8 @@ def parse_instance(text: str, metric: str = "manhattan") -> LoadedInstance:
 
     try:
         if table is not None:
-            dist = distance_matrix(table, metric)
-        instance = Instance(dist, g, a, b)
+            dist, columns = _distances_and_columns(table, metric)
+        instance = Instance(dist, g, a, b, columns)
     except SchemaError:
         raise
     except ValueError as exc:  # the header's G, a and b, or an overflowing metric
@@ -280,7 +280,8 @@ def parse_solution(text: str) -> list[list[int]]:
 def worked_example_instance() -> Instance:
     """Six elements valued 1..6 under manhattan distance, G=3, sizes in [2, 3]."""
     table = AttributeTable([(float(v),) for v in range(1, 7)], ("num",))
-    return Instance(distance_matrix(table, "manhattan"), G=3, a=2, b=3)
+    dist, columns = _distances_and_columns(table, "manhattan")
+    return Instance(dist, G=3, a=2, b=3, columns=columns)
 
 
 def demonstrate() -> dict:

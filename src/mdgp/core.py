@@ -177,17 +177,76 @@ class DistanceMatrix:
         return f"DistanceMatrix(n={self.n})"
 
 
+@dataclass(frozen=True, eq=False)
+class Column:
+    """One attribute column as a distance sums it: a pair's term is
+    ``weight * |values[i] - values[j]|`` for a ``"num"`` column, and
+    ``weight`` when the two category codes differ for a ``"cat"`` one.
+
+    :func:`distance_matrix` makes these alongside the distances: weight 1
+    for manhattan; 1/(range*K) for a gower numeric column, 0 when its range
+    is 0; 1/K for a categorical one. ``values`` is a read-only copy, floats
+    or integer codes, and stays read-only through pickling and deepcopy.
+    """
+
+    kind: str
+    values: np.ndarray
+    weight: float
+
+    def __post_init__(self):
+        if self.kind not in ("num", "cat"):
+            raise ValueError(f"unknown column kind {self.kind!r}")
+        values = np.array(self.values, dtype=float if self.kind == "num" else np.intp)
+        if values.ndim != 1:
+            raise ValueError("a column holds one value per element")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "weight", float(self.weight))
+
+    def __reduce__(self):
+        return Column, (self.kind, self.values, self.weight)
+
+    def __repr__(self) -> str:
+        return f"Column(kind={self.kind!r}, n={len(self.values)}, weight={self.weight!r})"
+
+
 @dataclass(frozen=True)
 class Instance:
-    """A problem instance: distances plus group count G and size bounds [a, b]."""
+    """A problem instance: distances plus group count G and size bounds [a, b].
+
+    ``columns``, when given, are the attribute columns whose weighted terms
+    add up to ``dist`` (as :func:`distance_matrix` makes them), which the
+    bounds and closed forms of :mod:`mdgp.bounds` read. Construction checks
+    that they do, up to rounding, so that a ``replace`` of ``dist`` alone
+    cannot leave a bound of other distances behind. It is None for
+    distances given as numbers and for euclidean ones, and it takes no part
+    in equality: two instances with the same distances, G, a and b are the
+    same problem.
+    """
 
     dist: DistanceMatrix
     G: int
     a: int
     b: int
+    columns: tuple[Column, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = self.dist.n
+        if self.columns is not None:
+            columns = tuple(self.columns)
+            if not columns or any(len(c.values) != n for c in columns):
+                raise ValueError(f"columns must be at least one, each with {n} values")
+            # each pair's terms, summed in a different order or scaled by a
+            # weight instead of divided, lie within (K + 3) * eps of it
+            iu, ju = _pair_index(n)
+            total = np.zeros(len(iu))
+            for c in columns:
+                v = c.values
+                total += c.weight * (np.abs(v[iu] - v[ju]) if c.kind == "num" else v[iu] != v[ju])
+            eps = np.finfo(float).eps
+            if not np.allclose(total, self.dist.condensed(), rtol=2 * (len(columns) + 3) * eps, atol=0.0):
+                raise ValueError("columns do not add up to the distances")
+            object.__setattr__(self, "columns", columns)
         if self.G < 1:
             raise ValueError("G must be >= 1")
         if not (1 <= self.a <= self.b <= n):
@@ -278,13 +337,21 @@ def distance_matrix(table: AttributeTable, metric: str) -> DistanceMatrix:
     mixes kinds: numeric attributes contribute |v_i - v_j| / column range
     (0 when the column has zero range), categorical attributes contribute
     0/1 on equality, and the distance is the mean contribution, so every
-    entry lies in [0, 1].
+    entry lies in [0, 1]. Categorical labels are numbered by dict lookup, so
+    they must be hashable, and two labels are equal when the dict finds them
+    so (the same object always is).
 
     Each pair's value starts at 0.0 and adds one term per column in schema
     order (|delta|, delta squared, or the Gower term), then takes one square
     root (euclidean) or one division by K (gower): the float operations, in
     order, of a per-pair loop over the columns.
     """
+    return _distances_and_columns(table, metric)[0]
+
+
+def _distances_and_columns(table: AttributeTable, metric: str):
+    """:func:`distance_matrix` and, from the same pass, its :class:`Column`
+    record in schema order, or None where it has none."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; choose from {METRICS}")
     if metric != "gower" and "cat" in table.schema:
@@ -294,27 +361,41 @@ def distance_matrix(table: AttributeTable, metric: str) -> DistanceMatrix:
         )
     iu, ju = _pair_index(table.n)
     total = np.zeros(len(iu))
+    columns = []
     # values near the float limit overflow to inf or nan here; DistanceMatrix
     # rejects that result with its own error, so the warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for col, kind in enumerate(table.schema):
             if kind == "cat":
-                v = np.array([row[col] for row in table.rows], dtype=object)
-                total += (v[iu] != v[ju]).astype(float)
+                index: dict = {}
+                codes = np.fromiter((index.setdefault(row[col], len(index)) for row in table.rows),
+                                    np.intp, table.n)
+                total += (codes[iu] != codes[ju]).astype(float)
+                columns.append(Column("cat", codes, 1.0 / table.k))
                 continue
             v = np.array([row[col] for row in table.rows], dtype=float)
             delta = np.abs(v[iu] - v[ju])
+            weight = 1.0
             if metric == "manhattan":
                 total += delta
             elif metric == "euclidean":
                 total += delta * delta
             elif (rng := v.max() - v.min()) > 0.0:
                 total += delta / rng
+                weight = 1.0 / (rng * table.k)
+            else:
+                weight = 0.0
+            columns.append(Column("num", v, weight))
         if metric == "euclidean":
             total = np.sqrt(total)
         elif metric == "gower":
             total /= table.k
-    return DistanceMatrix(table.n, total)
+    dist = DistanceMatrix(table.n, total)
+    # euclidean is no sum over columns, and a gower range so small that its
+    # inverse overflows has no finite weight: no record for either
+    if metric == "euclidean" or not all(math.isfinite(c.weight) for c in columns):
+        return dist, None
+    return dist, tuple(columns)
 
 
 def objective_value(grouping: Grouping, dist: DistanceMatrix) -> float:

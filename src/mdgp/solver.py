@@ -1,4 +1,5 @@
-"""Two exact solvers: an exhaustive oracle and a pruned branch-and-bound.
+"""Exact solvers: an exhaustive oracle, a pruned branch-and-bound, and the
+closed forms of attribute instances.
 
 The oracle (:func:`solve_bruteforce`) enumerates every feasible partition via
 restricted-growth strings and is the ground truth the rest of the package is
@@ -6,8 +7,10 @@ benchmarked against. :func:`solve_bnb` assigns elements in index order with
 symmetry breaking (a new group always takes the lowest unused label), prunes
 on capacity and on an admissible completion bound against a single incumbent
 seeded by the heuristic, and returns a proven optimum unless a node/time
-budget runs out first. One branching rule (:func:`_joinable`) decides every
-branch, and every prefix a :class:`SearchState` accepts. The oracle, the
+budget runs out first. :func:`solve_columns` returns the optimum that
+:func:`mdgp.bounds.closed_form` builds from an instance's columns. One
+branching rule (:func:`_joinable`) decides every branch, and every prefix a
+:class:`SearchState` accepts. The oracle, the
 partition iterators, the count and the search's tail take their strings
 from one enumerator of its leaves (:func:`_leaves`).
 
@@ -58,8 +61,18 @@ for ``G <= 256``). Each such tail counts as one node:
 ``nodes_explored`` counts the branching nodes plus the tails. A node budget
 truncates the batch that would exceed it, so ``nodes_explored`` never
 exceeds it. The time budget counts from the call, seed included: the seed
-is one heuristic restart, which always runs, and the deadline is checked
-before each batch.
+is one heuristic restart, which always runs unless a closed form (below)
+takes its place, and the deadline is checked before each batch.
+
+The root certificate. An instance with columns (``Instance.columns``:
+manhattan or gower attributes) has a bound from them alone,
+:func:`mdgp.bounds.column_bound`, and the search stops, proven, as soon as
+its incumbent reaches that bound less ``_rounding_slack``: at the root,
+with no node explored, and after any tail batch. Where the columns give an
+optimum in closed form (one numeric column, or two with a = b), that
+grouping is the first incumbent and no heuristic restart runs; it always
+meets the bound, up to rounding. Without columns, or with more size vectors
+than the bound enumerates, the search runs as it would otherwise.
 
 Which nodes the search visits depends on their order only through the
 incumbent. While the incumbent stays fixed, and so whenever the seed is
@@ -69,12 +82,15 @@ compared with the older value, so the count can differ slightly.
 
 The search is deterministic: for a given instance and node budget it always
 visits the same nodes and returns the same value and grouping. It replaces
-the incumbent (the seed, to begin with) only by a strictly higher exact
-``same_label_sum``, so among optima tied exactly it returns the seed if that
-is optimal, else the first optimum in :func:`iter_feasible_partitions`
-order. The fast tail sums only choose which labellings get that exact sum,
-tried node by node, then completion by completion, in lexicographic order,
-so rounding never picks a tie. Nor does the BLAS that computes the
+the incumbent (the closed form's grouping or the seed, to begin with) only
+by a strictly higher exact ``same_label_sum``, so among optima tied exactly
+it returns that first incumbent if it is optimal, else the first optimum in
+:func:`iter_feasible_partitions` order. A search that the certificate stops
+returns the incumbent it holds then, the best of the labellings scored up
+to that tail batch; the rest could beat it only by rounding. The fast tail
+sums only choose which labellings get that exact sum, tried node by node,
+then completion by completion, in lexicographic order, so rounding never
+picks a tie. Nor does the BLAS that computes the
 product, whatever order or thread count it sums in: the distances are
 finite, so every gain is and a zero of the one-hot adds an exact zero, and
 each score is a one-hot product of ``R`` gains plus one add of a pair sum,
@@ -82,12 +98,14 @@ whose error, about ``n * eps * sum|d|``, lies far inside the
 ``_rounding_slack`` kept around every threshold a score meets. The value,
 the grouping and the node count are the same at every BLAS thread count.
 
-The float contract of both solvers: a proven ``value`` is within
+The float contract of the solvers: a proven ``value`` is within
 ``_rounding_slack(instance)`` (``N**2 * eps * sum|d|``) of every feasible
 grouping's ``same_label_sum``, and ``objective_value(grouping) == value``
 exactly. The prune compares the float bound with no slack, so among
 groupings tied in exact arithmetic the search may return one that is an ulp
-below another.
+below another. A certified value is within ``_rounding_slack`` of the column
+bound, which is the columns' exact maximum up to its own rounding, a sum of
+about N products, far inside that slack.
 """
 
 from __future__ import annotations
@@ -101,7 +119,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Grouping, Instance, _pair_index, canonicalize
+from .bounds import closed_form, column_bound
+from .core import Grouping, Instance, _pair_index, canonicalize, objective_value
 from .heuristic import multistart
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -424,10 +443,20 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     deadline = None if opts.time_budget is None else t0 + opts.time_budget
     n, G, a, b = instance.n, instance.G, instance.a, instance.b
     dist = instance.dist
+    slack = _rounding_slack(instance)
 
-    seed = multistart(instance, restarts=1, seed=_SEED_SEED)
-    best_value = seed.value
-    best_grouping = canonicalize(seed.grouping)
+    # an incumbent that reaches the columns' bound is optimal: the closed
+    # form's, where there is one, else the seed's; later, any tail's
+    bound = column_bound(instance)
+    certified = math.inf if bound is None else bound - slack
+    best_grouping = closed_form(instance)
+    if best_grouping is not None:
+        best_value = objective_value(best_grouping, dist)
+    else:
+        seed = multistart(instance, restarts=1, seed=_SEED_SEED)
+        best_value, best_grouping = seed.value, canonicalize(seed.grouping)
+    if best_value >= certified:
+        return OptimalResult(best_value, best_grouping, 0, True, time.perf_counter() - t0)
 
     square = dist.as_square()
     # the search leaves the last R elements to the tail: every labelling of
@@ -439,7 +468,6 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
     iu, ju = _pair_index(R)
     within = square[n - R :, n - R :][iu, ju]
     pair_sums = np.where(lab[:, iu] == lab[:, ju], within, 0.0).sum(axis=1)
-    slack = _rounding_slack(instance)
     # the suffix table of the children of depth t, for every branching depth
     tables = [_suffix_table(square, t + 1, a, b) for t in range(n - R)]
     node_budget = opts.node_budget
@@ -540,13 +568,29 @@ def solve_bnb(instance: Instance, opts: SolveOptions | None = None) -> OptimalRe
             finish(batch)
         else:
             stack.append(expand(batch, ok[: len(batch.cur)]))
-        if exhausted:
+        if exhausted or best_value >= certified:
             break
 
     return OptimalResult(
         value=best_value,
         grouping=best_grouping,
         nodes_explored=nodes,
-        proven=not exhausted,
+        proven=bool(not exhausted or best_value >= certified),
         elapsed=time.perf_counter() - t0,
     )
+
+
+def solve_columns(instance: Instance) -> OptimalResult:
+    """The optimum of an instance whose columns give it in closed form
+    (:func:`mdgp.bounds.closed_form`): one numeric column, any [a, b], or two
+    numeric columns with a = b, under manhattan or gower. Proven, with no
+    node explored; any other instance raises ``ValueError``."""
+    t0 = time.perf_counter()
+    grouping = closed_form(instance)
+    if grouping is None:
+        raise ValueError(
+            "no closed form: it needs manhattan or gower columns, all numeric: "
+            "one (with few enough size vectors to list), or two with a = b"
+        )
+    return OptimalResult(objective_value(grouping, instance.dist), grouping, 0, True,
+                         time.perf_counter() - t0)

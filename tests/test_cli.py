@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mdgp import (
     METRICS,
     Grouping,
+    Instance,
     SchemaError,
     canonicalize,
     cli,
@@ -436,6 +437,22 @@ def test_cmd_solve_equal_model_conflict(tmp_path, capsys):
     code = main(["solve", "--input", str(path), "--model", "equal", "--solver", "bnb"])
     assert code == 2
     assert "inapplicable" in capsys.readouterr().err
+
+
+def test_cmd_solve_equal_model_keeps_the_columns(tmp_path, capsys):
+    # --model equal narrows [3, 5] to [4, 4]; the instance keeps its two
+    # columns, so the closed form proves it with no node, where the same
+    # instance without columns needs a search
+    path = tmp_path / "uk.txt"
+    path.write_text(gen_instance(12, 3, 3, 5, "uniformkd:2", seed=1))
+    code, report = _solve_json(capsys, "solve", "--input", str(path), "--model", "equal", "--json")
+    assert code == 0
+    assert report["instance"] == {"n": 12, "G": 3, "a": 4, "b": 4}
+    assert report["proven"] is True and report["nodes"] == 0
+    inst = parse_instance(path.read_text()).instance
+    searched = solver.solve_bnb(Instance(inst.dist, 3, 4, 4))
+    assert searched.nodes_explored > 0
+    assert abs(searched.value - report["value"]) <= solver._rounding_slack(inst)
 
 
 def test_cmd_demonstrate_json(capsys):
@@ -1119,7 +1136,7 @@ EXACT_CASES = {
         "value: 9\n"
         "groups: {1,4} {2,5} {3,6}\n"
         "proven: yes\n"
-        "nodes: 1\n"
+        "nodes: 0\n"
         "elapsed: 0.0 ms\n",
         "",
     ),
@@ -1138,13 +1155,13 @@ EXACT_CASES = {
     "solve-model-equal": (
         ["solve", "--input", "{worked}", "--model", "equal", "--json"],
         0,
-        _json_text(_worked_report(2, 2, nodes=1)),
+        _json_text(_worked_report(2, 2, nodes=0)),
         "",
     ),
     "export-and-solve": (
         ["solve", "--input", "{worked}", "--export-lp", "{lp}", "--solver", "bnb", "--json"],
         0,
-        _json_text(_worked_report(2, 3, nodes=1)),
+        _json_text(_worked_report(2, 3, nodes=0)),
         "",
     ),
     "export-only-json": (

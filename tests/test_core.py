@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -17,9 +18,12 @@ from mdgp import (
     distance_matrix,
     iter_set_partitions,
     objective_value,
+    solve_bnb,
+    solve_bruteforce,
     validate_grouping,
 )
-from mdgp.core import _pair_index
+from mdgp.cli import gen_instance, parse_instance
+from mdgp.core import Column, _distances_and_columns, _pair_index
 from conftest import TOL, random_instance
 
 
@@ -461,3 +465,100 @@ def test_copies_keep_the_distances_read_only(how):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
+    # so are the column arrays of an attribute instance, rebuilt the same way
+    attr = parse_instance(gen_instance(8, 2, 3, 5, "mixed:2,1", seed=6), "gower").instance
+    attr_copy = dup(attr)
+    assert attr_copy == attr and len(attr_copy.columns) == len(attr.columns) == 3
+    for col, copied in zip(attr.columns, attr_copy.columns):
+        assert (copied.kind, copied.weight) == (col.kind, col.weight)
+        assert copied.values.dtype == col.values.dtype
+        assert copied.values.tobytes() == col.values.tobytes()
+        assert not copied.values.flags.writeable
+        with pytest.raises(ValueError):
+            copied.values[0] = 1
+
+
+def test_instance_equality_ignores_columns():
+    # the columns are a second view of the distances, not part of the
+    # problem: an instance equals the same distances, G, a and b without them
+    inst = parse_instance(gen_instance(9, 3, 2, 4, "uniformkd:2", seed=3)).instance
+    bare = replace(inst, columns=None)
+    assert inst.columns is not None and bare.columns is None
+    assert inst == bare == Instance(inst.dist, inst.G, inst.a, inst.b)
+    other = parse_instance(gen_instance(9, 3, 2, 4, "uniformkd:2", seed=4)).instance
+    assert other != inst and replace(other, columns=None) != bare
+    # each column must have one value per element, and there must be one
+    with pytest.raises(ValueError, match="columns"):
+        replace(inst, columns=(Column("num", np.zeros(8), 1.0),))
+    with pytest.raises(ValueError, match="columns"):
+        replace(inst, columns=())
+
+
+def test_a_gower_range_too_small_to_invert_gives_no_columns():
+    # 1 / (range * K) overflows for a subnormal range: no finite weight holds
+    # the column, so the instance has no record and the search runs
+    inst = parse_instance("4 2 2 2\nATTR 2\nnum cat\n0 a\n5e-324 b\n1e-323 a\n0 b\n",
+                          "gower").instance
+    assert inst.columns is None
+    assert solve_bnb(inst).value == solve_bruteforce(inst).value == 1.75
+
+
+@pytest.mark.parametrize("kind, metric", [("uniformkd:2", "manhattan"), ("mixed:2,2", "gower")])
+def test_columns_must_add_up_to_the_distances(kind, metric):
+    # a replace of the distances alone would leave the columns of other
+    # distances, whose bound could prove a wrong value: it is refused
+    inst = parse_instance(gen_instance(12, 3, 4, 4, kind, seed=1), metric).instance
+    other = parse_instance(gen_instance(12, 3, 4, 4, kind, seed=2), metric).instance
+    for dist in other.dist, DistanceMatrix(12, 10 * inst.dist.condensed()):
+        with pytest.raises(ValueError, match="do not add up"):
+            replace(inst, dist=dist)
+    assert replace(inst, dist=other.dist, columns=None).columns is None
+    assert replace(inst, dist=other.dist, columns=other.columns) == other
+
+
+def test_columns_reproduce_the_distances_bit_for_bit():
+    # the column record holds what distance_matrix sums: added in schema
+    # order (|delta| for manhattan, |delta| / range for gower, 0/1 on the
+    # codes) and divided by K once for gower, it is the condensed vector
+    rng = np.random.default_rng(11)
+    for case in range(120):
+        n = int(rng.integers(1, 25))
+        k = int(rng.integers(1, 8))
+        x = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 6)
+        if case % 2:
+            x = np.round(x, int(rng.integers(0, 2)))
+        kinds = rng.choice(["num", "cat", "const"], size=k)
+        rows = [[v if kind == "num" else -0.0 if kind == "const" else "abc"[int(abs(v)) % 3]
+                 for kind, v in zip(kinds, row)] for row in x.tolist()]
+        schema = ["cat" if kind == "cat" else "num" for kind in kinds]
+        tables = [(AttributeTable(x.tolist(), ("num",) * k), "manhattan"),
+                  (AttributeTable(rows, schema), "gower")]
+        iu, ju = _pair_index(n)
+        for table, metric in tables:
+            dist, columns = _distances_and_columns(table, metric)
+            assert [c.kind for c in columns] == list(table.schema)
+            total = np.zeros(len(iu))
+            for j, col in enumerate(columns):
+                labels = [row[j] for row in table.rows]
+                if col.kind == "cat":
+                    same = np.array([[p == q for q in labels] for p in labels])
+                    assert np.array_equal(col.values[:, None] == col.values, same)
+                    assert col.weight == 1.0 / k
+                    total += (col.values[iu] != col.values[ju]).astype(float)
+                    continue
+                assert col.values.tobytes() == np.array(labels, dtype=float).tobytes()
+                delta = np.abs(col.values[iu] - col.values[ju])
+                span = col.values.max() - col.values.min()
+                if metric == "manhattan":
+                    assert col.weight == 1.0
+                    total += delta
+                elif span > 0:
+                    assert col.weight == 1.0 / (span * k)
+                    total += delta / span
+                else:
+                    assert col.weight == 0.0
+            if metric == "gower":
+                total /= k
+            assert total.tobytes() == dist.condensed().tobytes(), (case, metric)
+        # euclidean is no sum over columns, so it has no record
+        assert _distances_and_columns(tables[0][0], "euclidean")[1] is None

@@ -3,6 +3,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mdgp import (
     build_unequal,
     canonicalize,
     check_assignment,
+    column_bound,
     count_feasible_partitions,
     encode_grouping,
     iter_feasible_partitions,
@@ -25,6 +27,7 @@ from mdgp import (
     partial_value,
     solve_bnb,
     solve_bruteforce,
+    solve_columns,
     upper_bound,
     validate_grouping,
 )
@@ -480,8 +483,10 @@ def test_seed_is_one_restart(monkeypatch):
 
 def test_time_budget_shorter_than_one_restart(monkeypatch):
     # the first seed restart always runs and no other starts after the
-    # deadline, so the search returns that restart's grouping, unproven
+    # deadline, so the search returns that restart's grouping, unproven.
+    # Without its columns the instance has no closed form to start from
     inst = parse_instance(gen_instance(40, 5, 8, 8, "uniformkd:2", seed=1)).instance
+    inst = replace(inst, columns=None)
     runs = _counted_multistart(monkeypatch)
     result = solve_bnb(inst, SolveOptions(time_budget=1e-9))
     assert [r.restarts_used for r in runs] == [1]
@@ -865,10 +870,96 @@ def test_bnb_node_counts_are_pinned():
         else:
             metric = "gower" if kind.startswith("mixed") else "manhattan"
             inst = parse_instance(gen_instance(n, G, a, b, kind, seed), metric).instance
-        result = solve_bnb(inst)
+        # without columns nothing certifies the incumbent early: every count
+        # is the search's own
+        result = solve_bnb(replace(inst, columns=None))
         assert result.proven
         got[n, G, a, b, kind, seed] = (result.nodes_explored, result.value.hex())
     assert got == NODE_GATE
+
+
+# (N, G, a, b, kind, seed) -> (nodes_explored, value.hex()) of solves that
+# the columns' bound certifies: a closed form at the root (one numeric
+# column, or two with a = b, the gen(1) uk:2 frontier shapes among them), a
+# seed that meets the bound, and a search stopped after a tail batch
+CERTIFIED = {
+    (12, 3, 4, 4, "uniformkd:2", 1): (0, "0x1.3cf8cce1c5826p+10"),
+    (11, 4, 2, 3, "uniform1d", 5): (0, "0x1.794f4aba38759p+8"),
+    (18, 6, 3, 3, "uniformkd:2", 1): (0, "0x1.4f39e84f09529p+10"),
+    (20, 5, 4, 4, "uniformkd:2", 1): (0, "0x1.04285219a847bp+11"),
+    (60, 6, 10, 10, "uniformkd:2", 1): (0, "0x1.3053390cd423dp+14"),
+    (13, 3, 3, 5, "uniformkd:2", 10741771042705740784): (0, "0x1.c72118116ebd5p+10"),
+    (15, 3, 5, 5, "mixed:1,3", 14740932091622437435): (2986, "0x1.4ad0f676d6c0ep+4"),
+}
+
+
+def test_certified_solves_are_pinned(monkeypatch):
+    runs = _counted_multistart(monkeypatch)
+    got = {}
+    for n, G, a, b, kind, seed in CERTIFIED:
+        metric = "gower" if kind.startswith("mixed") else "manhattan"
+        inst = parse_instance(gen_instance(n, G, a, b, kind, seed), metric).instance
+        runs.clear()
+        result = solve_bnb(inst)
+        assert result.proven
+        assert objective_value(result.grouping, inst.dist) == result.value
+        # a closed form takes the seed's place; elsewhere the seed runs
+        closed = kind == "uniform1d" or (kind == "uniformkd:2" and a == b)
+        assert len(runs) == (not closed), (n, G, a, b, kind)
+        got[n, G, a, b, kind, seed] = (result.nodes_explored, result.value.hex())
+    assert got == CERTIFIED
+
+
+def test_a_closed_form_is_proven_within_any_budget():
+    # the bound and the closed form always run, as the seed does, and what
+    # they prove needs no search: the budgets do not apply
+    inst = parse_instance(gen_instance(40, 5, 8, 8, "uniformkd:2", seed=1)).instance
+    for opts in SolveOptions(time_budget=1e-9), SolveOptions(node_budget=1):
+        result = solve_bnb(inst, opts)
+        assert result.proven and result.nodes_explored == 0
+        assert result.grouping == solve_columns(inst).grouping
+
+
+def test_the_certificate_is_the_bound_less_the_slack(monkeypatch):
+    # a first incumbent is proven at the root only when it reaches the bound
+    # less the rounding slack: a bound two slacks above it leaves the search
+    # to run, one half a slack above it proves it with no node
+    monkeypatch.setattr(solver, "multistart", _first_feasible)
+    inst = parse_instance(gen_instance(12, 3, 3, 5, "uniformkd:3", seed=1)).instance
+    seed, slack = _first_feasible(inst, 1, 0).value, solver._rounding_slack(inst)
+    for above in 2.0, 0.5:
+        monkeypatch.setattr(solver, "column_bound", lambda inst, b=seed + above * slack: b)
+        result = solve_bnb(inst)
+        assert result.proven and (result.nodes_explored == 0) == (above < 1), above
+
+
+def test_an_uncertified_budgeted_solve_is_unproven():
+    # three columns: no closed form, and the bound is loose enough that the
+    # seed does not meet it, so a spent budget leaves the result unproven
+    inst = parse_instance(gen_instance(40, 5, 8, 8, "uniformkd:3", seed=1)).instance
+    assert column_bound(inst) is not None
+    result = solve_bnb(inst, SolveOptions(node_budget=10))
+    assert result.proven is False and result.nodes_explored == 10
+    assert validate_grouping(result.grouping, inst).feasible
+
+
+# the bnb-prove benchmark's shapes
+BNB_PROVE_SHAPES = [(12, 4, 3, 3, "mixed:2,2"), (15, 3, 5, 5, "uniformkd:2"),
+                    (15, 3, 5, 5, "mixed:1,3"), (13, 3, 3, 6, "uniformkd:3"),
+                    (14, 3, 4, 5, "mixed:2,2"), (12, 4, 2, 4, "mixed:2,2"),
+                    (13, 3, 3, 5, "uniformkd:2")]
+
+
+def test_certified_solves_agree_with_the_column_free_search():
+    for (n, G, a, b, kind), seed in itertools.product(BNB_PROVE_SHAPES, (1, 2)):
+        metric = "gower" if kind.startswith("mixed") else "manhattan"
+        inst = parse_instance(gen_instance(n, G, a, b, kind, seed), metric).instance
+        certified, searched = solve_bnb(inst), solve_bnb(replace(inst, columns=None))
+        assert certified.proven and searched.proven
+        assert abs(certified.value - searched.value) <= solver._rounding_slack(inst)
+        assert objective_value(certified.grouping, inst.dist) == certified.value
+        assert validate_grouping(certified.grouping, inst).feasible
+        assert certified.nodes_explored <= searched.nodes_explored
 
 
 def test_bnb_result_satisfies_full_model():
