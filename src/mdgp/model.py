@@ -277,6 +277,17 @@ def encode_grouping(grouping: Grouping, variant: str = "unequal") -> PairAssignm
     return PairAssignment(x=x, y=y)
 
 
+def _values_at(values: Mapping, keys, kind: str) -> list:
+    """``values[k]`` for each k in ``keys``, when ``values`` has exactly those
+    keys: as many keys, every one of them found."""
+    if len(values) == len(keys):
+        try:
+            return [values[k] for k in keys]
+        except KeyError:
+            pass
+    raise ValueError(f"assignment {kind} variables do not match the model")
+
+
 def check_assignment(model: IlpModel, asg: PairAssignment) -> CheckReport:
     """Evaluate every row in one vectorised pass; violations are row names in
     row order, not errors.
@@ -286,13 +297,11 @@ def check_assignment(model: IlpModel, asg: PairAssignment) -> CheckReport:
     row with no terms.
     """
     pairs = list(_pairs(model.n))
-    if asg.x.keys() != set(pairs):
-        raise ValueError("assignment pair variables do not match the model")
     leaders = range(2, 2 + len(model.variables) - len(pairs))
-    if (set(asg.y) if asg.y is not None else set()) != set(leaders):
-        raise ValueError("assignment leader variables do not match the model")
+    xs = _values_at(asg.x, pairs, "pair")
+    ys = _values_at(asg.y if asg.y is not None else {}, leaders, "leader")
 
-    values = np.array([asg.x[p] for p in pairs] + [asg.y[j] for j in leaders], dtype=np.int64)
+    values = np.array(xs + ys, dtype=np.int64)
     terms = model.coefs * values[model.indices]
     sums = np.zeros(len(terms) + 1, dtype=terms.dtype)
     np.cumsum(terms, out=sums[1:])

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mdgp import (
     solve_bruteforce,
     validate_grouping,
 )
+from mdgp import heuristic
 from mdgp.cli import gen_instance, parse_instance
 from mdgp.rng import SplitMix64, derive_seed
 from conftest import TOL, random_instance, seeded_cases
@@ -241,9 +244,11 @@ def test_local_search_skips_tied_steps_that_do_not_improve():
 
 def test_local_search_stops_when_the_exact_sum_does_not_rise(worked_instance, monkeypatch):
     # the float-drift guard: a step the deltas call improving whose
-    # recomputed sum does not rise ends the search before that step
+    # recomputed sum does not rise ends the search before that step. An
+    # infinite margin proves no rise, so every step takes the exact path
     start = Grouping([(1, 2), (3, 4), (5, 6)])
     assert local_search(worked_instance, start) != start
+    monkeypatch.setattr(heuristic, "_rise_margin", lambda *args: float("inf"))
     sums = []
     real = DistanceMatrix.same_label_sum
 
@@ -254,6 +259,92 @@ def test_local_search_stops_when_the_exact_sum_does_not_rise(worked_instance, mo
     monkeypatch.setattr(DistanceMatrix, "same_label_sum", stalled)
     assert local_search(worked_instance, start) == start
     assert len(sums) == 2
+
+
+@st.composite
+def _margin_cases(draw):
+    """Starts with equal (a == b) or unequal size bounds, over signed
+    distances, decimal ties (multiples of 0.1, which floats hold inexactly),
+    tiny ones, or ones whose absolute sum is 0.9 of DistanceMatrix's limit,
+    plus a multistart seed."""
+    if draw(st.booleans()):
+        G = draw(st.integers(1, 4))
+        a = b = draw(st.integers(1, 12 // G))
+        n = G * a
+    else:
+        n = draw(st.integers(2, 12))
+        G = draw(st.integers(1, n))
+        a = draw(st.integers(1, min(n // G, n - 1)))
+        b = draw(st.integers(max(a + 1, -(-n // G)), n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cond = rng.uniform(-100.0, 100.0, n * (n - 1) // 2)
+    family = draw(st.sampled_from(["signed", "decimal", "tiny", "near_limit"]))
+    if family == "decimal":
+        cond = np.round(np.abs(cond) / 100.0, 1)
+    elif family == "tiny":
+        cond = cond * 1e-300
+    elif family == "near_limit" and np.abs(cond).sum() > 0.0:
+        cond = cond / np.abs(cond).sum() * (0.9 * np.finfo(float).max / 4.0)
+    inst = Instance(DistanceMatrix(n, cond), G, a, b)
+    return inst, greedy_construct(inst, seed=draw(st.integers(0, 2**32 - 1))), draw(st.integers(0, 2**32 - 1))
+
+
+def _checked_steps(inst, start):
+    """Run local_search and record, at each step whose rise it checks, the
+    step's float delta, the margin, and the labels before and after the step,
+    read from the search's frame (the caller of the margin helper)."""
+    steps = []
+    real = heuristic._rise_margin
+
+    def spy(*args):
+        margin = real(*args)
+        f = sys._getframe(1).f_locals
+        steps.append((f["delta"], margin, f["label"].copy(), f["new"].copy()))
+        return margin
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heuristic, "_rise_margin", spy)
+        result = local_search(inst, start)
+    return result, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_margin_cases())
+def test_rise_margin_proves_each_skipped_rise(case):
+    # wherever the margin lets a step skip the exact sums, the sum rises; on
+    # every checked step the float delta is within half the margin (the
+    # first-order error bound) of the difference of the two float sums
+    inst, start, seed = case
+    result, steps = _checked_steps(inst, start)
+    for delta, margin, old, new in steps:
+        before, after = inst.dist.same_label_sum(old), inst.dist.same_label_sum(new)
+        if delta > margin:
+            assert after > before
+        assert abs(Fraction(delta) - (Fraction(after) - Fraction(before))) <= Fraction(margin) / 2
+    assert result == reference_local_search(inst, start)
+    r = multistart(inst, restarts=3, seed=seed)
+    reference = [reference_local_search(inst, greedy_construct(inst, derive_seed(seed, i))) for i in (1, 2, 3)]
+    values = [objective_value(g, inst.dist) for g in reference]
+    assert r.restart_values == tuple(values)
+    assert r.best_restart_index == values.index(max(values)) + 1
+    assert r.grouping == reference[r.best_restart_index - 1]
+    assert r.value == objective_value(r.grouping, inst.dist)
+
+
+def test_multistart_sums_once_per_restart_where_the_margin_proves_each_rise(monkeypatch):
+    # at N=60, b=10 the margin (about 3e-11·max|d|) is far below tol, so no
+    # step is re-summed: each restart takes one sum, of its final labels
+    inst = parse_instance(gen_instance(60, 6, 10, 10, "uniformkd:2", seed=3)).instance
+    calls = []
+    real = DistanceMatrix.same_label_sum
+
+    def counted(self, labels):
+        calls.append(1)
+        return real(self, labels)
+
+    monkeypatch.setattr(DistanceMatrix, "same_label_sum", counted)
+    multistart(inst, restarts=4, seed=1)
+    assert len(calls) == 4
 
 
 def test_local_search_rejects_infeasible_start(worked_instance):

@@ -240,6 +240,18 @@ def test_check_rejects_variable_mismatch(worked_instance):
         check_assignment(m, encode_grouping(optimum, "equal"))  # no leaders
     with pytest.raises(ValueError, match="leader"):
         check_assignment(build_equal(worked_instance), encode_grouping(optimum, "unequal"))
+    # as many keys as the model has, one of them foreign
+    asg = encode_grouping(optimum, "unequal")
+    x = dict(asg.x)
+    del x[(1, 2)]
+    x[(1, 7)] = 0
+    with pytest.raises(ValueError, match="^assignment pair variables do not match the model$"):
+        check_assignment(m, PairAssignment(x=x, y=asg.y))
+    y = dict(asg.y)
+    del y[2]
+    y[7] = 0
+    with pytest.raises(ValueError, match="^assignment leader variables do not match the model$"):
+        check_assignment(m, PairAssignment(x=asg.x, y=y))
 
 
 def test_rows_never_repeat_a_column():
